@@ -13,10 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clausefreq import FeatureVector, resolve_schema
+from .clausefreq import PROB_EPS, FeatureVector, resolve_schema
 from .errors import NonFinite, SchemaMismatch, SingleClass
 
-PROB_EPS = 1e-12
 # Convergence bound on the penalized gradient's infinity norm. Tightening
 # it further is futile on large fits: the objective's float resolution
 # (eps * |f| ~ 1e-12 at n = 20k) turns the line search into noise below
@@ -27,9 +26,8 @@ MAX_ITER = 100
 
 @dataclass(frozen=True)
 class LabeledFeatures:
-    """A feature matrix with binary labels and example ids."""
+    """A feature matrix with binary labels."""
 
-    ids: tuple[str, ...]
     X: np.ndarray  # (n, m)
     y: np.ndarray  # (n,) in {0, 1}
     schema_id: str = "ps"
@@ -112,16 +110,12 @@ def fit_logistic(
         nll = np.sum(np.logaddexp(0.0, z) - y * z)
         return nll + 0.5 * np.sum(reg * wv * wv)
 
-    def gradient(wv):
-        p = sigmoid(Xd @ wv)
-        return Xd.T @ (p - y) + reg * wv
-
     f = objective(w)
     for _ in range(MAX_ITER):
-        g = gradient(w)
+        p = sigmoid(Xd @ w)
+        g = Xd.T @ (p - y) + reg * w
         if np.max(np.abs(g)) <= GRAD_TOL:
             break
-        p = sigmoid(Xd @ w)
         s = p * (1.0 - p)
         H = (Xd * s[:, None]).T @ Xd + np.diag(reg)
         step = np.linalg.solve(H, g)
@@ -141,6 +135,11 @@ def fit_logistic(
         intercept, coef = 0.0, w
     else:
         intercept, coef = float(w[0]), w[1:]
+    if tuple(data.feature_names) == ("logit_prob",) and coef[0] <= 0:
+        warnings.warn(
+            "fitted slope is not positive; calibrated scores will not preserve ranking",
+            stacklevel=2,
+        )
     means = X.mean(axis=0)
     scales = X.std(axis=0)
     scales[X.max(axis=0) == X.min(axis=0)] = 0.0  # constant columns: exactly zero
@@ -165,24 +164,16 @@ def platt_fit(
     """Fit sigmoid(w0 + w1 * logit(score)) on raw probabilities.
 
     ``temperature_only`` pins w0 = 0, leaving a single inverse-temperature
-    weight. A non-positive fitted slope gets a warning because it reorders
-    examples (ranking metrics are only preserved under a positive slope).
+    weight; like every fit on ``logit_prob`` alone, a non-positive slope
+    warns (ranking metrics are only preserved under a positive slope).
     """
-    scores = np.asarray(scores, dtype=float)
     data = LabeledFeatures(
-        ids=tuple(str(i) for i in range(len(scores))),
         X=logit(scores)[:, None],
         y=np.asarray(labels, dtype=float),
         schema_id="ps",
         feature_names=("logit_prob",),
     )
-    model = fit_logistic(data, penalty, fix_intercept_at_zero=temperature_only)
-    if model.weights[0] <= 0:
-        warnings.warn(
-            "fitted slope is not positive; calibrated scores will not preserve ranking",
-            stacklevel=2,
-        )
-    return model
+    return fit_logistic(data, penalty, fix_intercept_at_zero=temperature_only)
 
 
 def mps_fit(data: LabeledFeatures, penalty: float = 1.0) -> CalibratorModel:

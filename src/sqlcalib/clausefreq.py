@@ -8,6 +8,7 @@ own (logit) probability is prepended when assembling feature vectors.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import EmptyPool, SchemaMismatch
@@ -146,6 +147,14 @@ _LOG_ONE_MINUS_EPS = math.log1p(-PROB_EPS)
 _LOGIT_MAX = math.log((1.0 - PROB_EPS) / PROB_EPS)
 
 
+def finite_float(value) -> float | None:
+    """``value`` as a finite float; None for bools, non-numbers, NaN and infinities."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    # exact comparison: NaN and ints past the float range fail without converting
+    return float(value) if -sys.float_info.max <= value <= sys.float_info.max else None
+
+
 def logit_of_log_prob(sum_log_prob: float) -> float:
     """Sequence log-probability -> logit of the clipped probability.
 
@@ -170,7 +179,8 @@ def assemble_features(
 
     ``pools`` maps source name to the list of parsed samples for that
     source; every source the schema declares must be present and
-    non-empty. Extra scalar features are taken from ``extras`` by name.
+    non-empty. Extra scalar features are taken from ``extras`` by name and
+    must be finite numbers.
     """
     values = [logit_of_log_prob(sum_log_prob)]
     for src in schema.sources:
@@ -181,5 +191,8 @@ def assemble_features(
     for name in schema.extras:
         if extras is None or name not in extras:
             raise SchemaMismatch(f"record is missing extra feature {name!r}")
-        values.append(float(extras[name]))
+        value = finite_float(extras[name])
+        if value is None:
+            raise SchemaMismatch(f"extra feature {name!r} must be a finite number")
+        values.append(value)
     return FeatureVector(schema.schema_id, tuple(values))

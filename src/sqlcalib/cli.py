@@ -221,10 +221,7 @@ def main(argv=None) -> int:
             with open(args.config, encoding="utf-8") as fh:
                 args._config = json.load(fh)
         return run(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (SqlCalibError, OSError) as exc:

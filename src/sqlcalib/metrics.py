@@ -5,7 +5,7 @@ scores share their average rank in the AUC, and equal sort keys fall back
 to input order everywhere a sort happens.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,17 +22,6 @@ class BinRow:
     mean_score: float
     empirical_accuracy: float
     bias: float  # empirical_accuracy - mean_score
-
-    def as_dict(self) -> dict:
-        return {
-            "bin_index": self.bin_index,
-            "lower": self.lower,
-            "upper": self.upper,
-            "count": self.count,
-            "mean_score": self.mean_score,
-            "empirical_accuracy": self.empirical_accuracy,
-            "bias": self.bias,
-        }
 
 
 @dataclass(frozen=True)
@@ -54,8 +43,8 @@ class MetricsReport:
             "ece": self.ece,
             "ace": self.ace,
             "auc": self.auc,
-            "bins_ece": [b.as_dict() for b in self.bins_ece],
-            "bins_ace": [b.as_dict() for b in self.bins_ace],
+            "bins_ece": [asdict(b) for b in self.bins_ece],
+            "bins_ace": [asdict(b) for b in self.bins_ace],
         }
 
 
@@ -206,17 +195,6 @@ class ShiftStratum:
     mean_a: float
     mean_b: float
     accuracy: float
-
-    def as_dict(self) -> dict:
-        return {
-            "fraction": self.fraction,
-            "side": self.side,
-            "count": self.count,
-            "mean_delta": self.mean_delta,
-            "mean_a": self.mean_a,
-            "mean_b": self.mean_b,
-            "accuracy": self.accuracy,
-        }
 
 
 def compare_shift(

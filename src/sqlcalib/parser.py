@@ -19,6 +19,9 @@ from .sqlast import (
 
 _COMPARISONS = ("=", "==", "!=", "<>", "<", "<=", ">", ">=")
 _JOIN_STARTERS = ("join", "inner", "left", "right", "full", "cross")
+# Nesting levels (brackets, subqueries, NOT or sign prefixes, set-operation
+# terms) a statement may open; keeps every tree walk clear of the recursion limit.
+MAX_DEPTH = 50
 
 
 def parse_sql(text: str) -> QueryTree:
@@ -39,6 +42,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # -- cursor helpers -------------------------------------------------
 
@@ -68,6 +72,15 @@ class _Parser:
             raise ParseError(f"expected {what}, found {tok.text!r}", tok.offset)
         return self.advance()
 
+    def nested(self, parse):
+        """``parse()`` one nesting level deeper; past MAX_DEPTH is a ParseError."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", self.peek().offset)
+        out = parse()
+        self.depth -= 1
+        return out
+
     def fail(self, what: str):
         tok = self.peek()
         raise ParseError(f"expected {what}, found {tok.text!r}", tok.offset)
@@ -75,13 +88,16 @@ class _Parser:
     # -- statements -----------------------------------------------------
 
     def parse_query(self) -> QueryTree:
+        entry = self.depth
         tree: QueryTree = self.parse_select()
         while self.at_keyword("union", "intersect", "except"):
             op = self.advance().text
             if op == "union" and self.at_keyword("all"):
                 self.advance()
                 op = "union all"
-            tree = SetOperation(op, tree, self.parse_select())
+            self.depth += 1  # each term nests the left-deep tree one level further
+            tree = SetOperation(op, tree, self.nested(self.parse_select))
+        self.depth = entry
         return tree
 
     def parse_select(self) -> SelectStatement:
@@ -212,7 +228,7 @@ class _Parser:
     def parse_not(self) -> list[str]:
         if self.at_keyword("not"):
             self.advance()
-            return ["not"] + self.parse_not()
+            return ["not"] + self.nested(self.parse_not)
         return self.parse_predicate()
 
     def parse_predicate(self) -> list[str]:
@@ -263,7 +279,7 @@ class _Parser:
         if self.peek(1).kind == KEYWORD and self.peek(1).text == "select":
             return self.parse_subquery_tokens()
         self.advance()
-        out = ["("] + self.parse_expr_list()
+        out = ["("] + self.nested(self.parse_expr_list)
         self.expect_kind(RPAREN, ")")
         out.append(")")
         return out
@@ -284,7 +300,7 @@ class _Parser:
 
     def parse_unary(self) -> list[str]:
         if self.peek().kind == OP and self.peek().text in ("-", "+"):
-            return [self.advance().text] + self.parse_unary()
+            return [self.advance().text] + self.nested(self.parse_unary)
         return self.parse_primary()
 
     def parse_primary(self) -> list[str]:
@@ -307,7 +323,7 @@ class _Parser:
             if self.peek(1).kind == KEYWORD and self.peek(1).text == "select":
                 return self.parse_subquery_tokens()
             self.advance()
-            out = ["("] + self.parse_expr()
+            out = ["("] + self.nested(self.parse_expr)
             self.expect_kind(RPAREN, ")")
             out.append(")")
             return out
@@ -332,7 +348,7 @@ class _Parser:
             if self.at_keyword("distinct"):
                 self.advance()
                 out.append("distinct")
-            out.extend(self.parse_expr_list())
+            out.extend(self.nested(self.parse_expr_list))
         self.expect_kind(RPAREN, ") to close call")
         out.append(")")
         return out
@@ -373,6 +389,6 @@ class _Parser:
 
     def parse_subquery_tokens(self) -> list[str]:
         self.expect_kind(LPAREN, "(")
-        tree = self.parse_query()
+        tree = self.nested(self.parse_query)
         self.expect_kind(RPAREN, ") to close subquery")
         return ["("] + _tree_tokens(tree) + [")"]

@@ -7,10 +7,11 @@ in a sidecar summary so that input lines are always fully accounted for.
 
 import json
 import math
+import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .clausefreq import (
     PROB_EPS,
     FeatureSchema,
     assemble_features,
+    finite_float,
     resolve_schema,
 )
 from .errors import (
@@ -58,47 +60,80 @@ class CandidateRecord:
         return any(c.tree is not None for c in self.candidates)
 
 
-def load_candidates(path) -> list[CandidateRecord]:
-    """Read candidate records, parse every candidate SQL, flag the rest.
+def iter_jsonl(path, required=()):
+    """Yield ``(lineno, doc)`` per non-blank line; each must be a JSON object
+    holding the ``required`` fields. The one place input lines are decoded."""
+    with open(path, "rb") as fh:  # bytes, so bad UTF-8 is a JsonError on its own line
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line.decode())
+            except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
+                raise JsonError(str(exc), lineno) from exc
+            if not isinstance(doc, dict):
+                kind = type(doc).__name__
+                raise SchemaError(f"line {lineno}: expected a JSON object, got {kind}")
+            for key in required:
+                if key not in doc:
+                    raise SchemaError(f"line {lineno}: missing field {key!r}")
+            yield lineno, doc
+
+
+# type(), not isinstance(): JSON decodes to exact types, and a bool (an int) must fail
+def _check_label(doc: dict, lineno: int) -> int:
+    label = doc["label"]
+    if type(label) not in (int, float) or label not in (0, 1):
+        raise SchemaError(f"line {lineno}: label must be 0 or 1, got {label!r}")
+    return int(label)
+
+
+def _check_prob(doc: dict, key: str, lineno: int) -> float:
+    value = doc[key]
+    if type(value) not in (int, float) or not 0 <= value <= 1:
+        raise SchemaError(f"line {lineno}: {key} must be a number in [0, 1], got {value!r}")
+    return value
+
+
+def iter_candidates(path) -> Iterator[CandidateRecord]:
+    """Candidate records of a file, one at a time, each candidate parsed.
 
     Records whose candidates all fail to parse are kept but unusable; the
     per-candidate failure count is stored on each record so callers can
     report it. Structural problems in the file itself raise immediately.
     """
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise JsonError(str(exc), lineno) from exc
-            records.append(_record_from_doc(doc, lineno))
+    for lineno, doc in iter_jsonl(path, ("id", "label", "candidates")):
+        yield _record_from_doc(doc, lineno)
+
+
+def load_candidates(path) -> list[CandidateRecord]:
+    """Every record of :func:`iter_candidates`; warns when there is none."""
+    records = list(iter_candidates(path))
     if not records:
         warnings.warn(f"{path}: no records found", stacklevel=2)
     return records
 
 
 def _record_from_doc(doc: dict, lineno: int) -> CandidateRecord:
-    for key in ("id", "label", "candidates"):
-        if key not in doc:
-            raise SchemaError(f"line {lineno}: missing field {key!r}")
-    if doc["label"] not in (0, 1):
-        raise SchemaError(f"line {lineno}: label must be 0 or 1, got {doc['label']!r}")
+    label = _check_label(doc, lineno)
     raw_cands = doc["candidates"]
     if not isinstance(raw_cands, list) or not raw_cands:
         raise SchemaError(f"line {lineno}: candidates must be a non-empty list")
+    extras = doc.get("extra_features")
+    if extras is not None and not isinstance(extras, dict):
+        raise SchemaError(f"line {lineno}: extra_features must be an object")
     candidates = []
     failures = 0
     for i, c in enumerate(raw_cands):
+        if not isinstance(c, dict):
+            raise SchemaError(f"line {lineno}: candidate {i} must be an object")
         for key in ("sql", "sum_log_prob", "source"):
             if key not in c:
                 raise SchemaError(f"line {lineno}: candidate {i} missing field {key!r}")
         if not isinstance(c["sql"], str):
             raise SchemaError(f"line {lineno}: candidate {i} sql must be a string")
-        lp = c["sum_log_prob"]
-        if not isinstance(lp, (int, float)) or not math.isfinite(lp):
+        lp = finite_float(c["sum_log_prob"])
+        if lp is None:
             raise SchemaError(f"line {lineno}: candidate {i} sum_log_prob must be finite")
         if lp > 0:
             warnings.warn(
@@ -109,7 +144,7 @@ def _record_from_doc(doc: dict, lineno: int) -> CandidateRecord:
             raise SchemaError(
                 f"line {lineno}: candidate {i} source must be one of {SOURCES}"
             )
-        cand = Candidate(sql=c["sql"], sum_log_prob=float(lp), source=c["source"])
+        cand = Candidate(sql=c["sql"], sum_log_prob=lp, source=c["source"])
         try:
             cand.tree = parse_sql(cand.sql)
         except ParseError:
@@ -117,10 +152,10 @@ def _record_from_doc(doc: dict, lineno: int) -> CandidateRecord:
         candidates.append(cand)
     return CandidateRecord(
         id=str(doc["id"]),
-        label=int(doc["label"]),
+        label=label,
         candidates=candidates,
         group=doc.get("group"),
-        extra_features=doc.get("extra_features"),
+        extra_features=extras,
         parse_failures=failures,
     )
 
@@ -156,16 +191,6 @@ class RunSummary:
     candidate_parse_failures: int = 0
     failures: list = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "input_records": self.input_records,
-            "used": self.used,
-            "unusable": self.unusable,
-            "failed": self.failed,
-            "candidate_parse_failures": self.candidate_parse_failures,
-            "failures": self.failures,
-        }
-
 
 def _clipped_prob(sum_log_prob: float) -> float:
     p = math.exp(min(sum_log_prob, 0.0))
@@ -173,9 +198,14 @@ def _clipped_prob(sum_log_prob: float) -> float:
 
 
 def featurize_records(
-    records: list[CandidateRecord], schema_id: str, scope: str = "union"
-) -> tuple[list[dict], RunSummary]:
-    """One feature row per usable record.
+    records: Iterable[CandidateRecord],
+    schema_id: str,
+    scope: str = "union",
+    *,
+    summary: RunSummary,
+) -> Iterator[dict]:
+    """Yield one feature row per usable record, taking records one at a time
+    and counting each in ``summary``.
 
     The first usable record with extra_features fixes the extra-feature
     layout for the whole run (names sorted, appended after the standard
@@ -183,9 +213,8 @@ def featurize_records(
     """
     base = resolve_schema(schema_id)
     schema: Optional[FeatureSchema] = None
-    summary = RunSummary(input_records=len(records))
-    rows = []
     for record in records:
+        summary.input_records += 1
         summary.candidate_parse_failures += record.parse_failures
         if not record.usable:
             summary.unusable += 1
@@ -210,25 +239,24 @@ def featurize_records(
             summary.failed += 1
             summary.failures.append({"id": record.id, "reason": str(exc)})
             continue
-        rows.append(
-            {
-                "id": record.id,
-                "label": record.label,
-                "group": record.group,
-                "schema_id": fv.schema_id,
-                "values": list(fv.values),
-                "raw_prob": _clipped_prob(primary.sum_log_prob),
-            }
-        )
         summary.used += 1
-    return rows, summary
+        yield {
+            "id": record.id,
+            "label": record.label,
+            "group": record.group,
+            "schema_id": fv.schema_id,
+            "values": list(fv.values),
+            "raw_prob": _clipped_prob(primary.sum_log_prob),
+        }
 
 
 def featurize_command(input_path, output_path, schema_id: str, scope: str = "union") -> RunSummary:
-    records = load_candidates(input_path)
-    rows, summary = featurize_records(records, schema_id, scope)
-    _write_jsonl(output_path, rows)
-    _write_json(str(output_path) + ".summary.json", summary.as_dict())
+    """Stream records into feature rows and the rows into the output file, so
+    memory stays flat in input size; a data error leaves no output file."""
+    summary = RunSummary()
+    records = iter_candidates(input_path)
+    _write_jsonl(output_path, featurize_records(records, schema_id, scope, summary=summary))
+    _write_json(str(output_path) + ".summary.json", asdict(summary))
     return summary
 
 
@@ -249,34 +277,23 @@ class FeatureFile:
 def load_features(path) -> FeatureFile:
     ids, values, labels, raw, groups = [], [], [], [], []
     schema_id = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise JsonError(str(exc), lineno) from exc
-            for key in ("id", "label", "schema_id", "values", "raw_prob"):
-                if key not in doc:
-                    raise SchemaError(f"line {lineno}: missing field {key!r}")
-            if schema_id is None:
-                schema_id = doc["schema_id"]
-                expected_len = resolve_schema(schema_id).length
-            elif doc["schema_id"] != schema_id:
-                raise SchemaError(
-                    f"line {lineno}: schema changed from {schema_id!r} to {doc['schema_id']!r}"
-                )
-            if len(doc["values"]) != expected_len:
-                raise SchemaError(
-                    f"line {lineno}: expected {expected_len} values for {schema_id!r}, "
-                    f"got {len(doc['values'])}"
-                )
-            ids.append(str(doc["id"]))
-            values.append(doc["values"])
-            labels.append(doc["label"])
-            raw.append(doc["raw_prob"])
-            groups.append(doc.get("group"))
+    for lineno, doc in iter_jsonl(path, ("id", "label", "schema_id", "values", "raw_prob")):
+        if schema_id is None:
+            schema_id = doc["schema_id"]
+            expected_len = resolve_schema(schema_id).length
+        elif doc["schema_id"] != schema_id:
+            raise SchemaError(
+                f"line {lineno}: schema changed from {schema_id!r} to {doc['schema_id']!r}"
+            )
+        if not isinstance(doc["values"], list) or len(doc["values"]) != expected_len:
+            raise SchemaError(
+                f"line {lineno}: expected a list of {expected_len} values for {schema_id!r}"
+            )
+        ids.append(str(doc["id"]))
+        values.append(doc["values"])
+        labels.append(_check_label(doc, lineno))
+        raw.append(_check_prob(doc, "raw_prob", lineno))
+        groups.append(doc.get("group"))
     if schema_id is None:
         raise SchemaError(f"{path}: no feature rows")
     return FeatureFile(
@@ -346,7 +363,7 @@ def fit_command(
         selected = names
     idx = [names.index(n) for n in selected]
 
-    X, y, ids = ff.X[:, idx], ff.y, list(ff.ids)
+    X, y = ff.X[:, idx], ff.y
     if subsample_fraction is not None or subsample_count is not None:
         n = len(y)
         k = subsample_count if subsample_count is not None else max(1, int(subsample_fraction * n))
@@ -354,14 +371,9 @@ def fit_command(
             raise ValueError(f"subsample size {k} outside 1..{n}")
         pick = np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
         X, y = X[pick], y[pick]
-        ids = [ids[i] for i in pick]
 
-    data = calibrate.LabeledFeatures(
-        ids=tuple(ids), X=X, y=y, schema_id=ff.schema_id, feature_names=selected
-    )
+    data = calibrate.LabeledFeatures(X=X, y=y, schema_id=ff.schema_id, feature_names=selected)
     model = calibrate.fit_logistic(data, penalty)
-    if method == "ps" and model.weights[0] <= 0:
-        warnings.warn("fitted slope is not positive; ranking is not preserved", stacklevel=2)
     calibrate.save_model(model, output_path)
     return model
 
@@ -450,19 +462,16 @@ def apply_command(features_path, model_path, output_path) -> int:
 
 
 def load_scored(path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise JsonError(str(exc), lineno) from exc
-            for key in ("id", "label", "calibrated_prob"):
-                if key not in doc:
-                    raise SchemaError(f"line {lineno}: missing field {key!r}")
-            rows.append(doc)
+    """Scored rows in file order; ids are compared as strings and must be unique."""
+    rows, seen = [], set()
+    for lineno, doc in iter_jsonl(path, ("id", "label", "calibrated_prob")):
+        doc["id"] = str(doc["id"])
+        if doc["id"] in seen:
+            raise SchemaError(f"line {lineno}: duplicate id {doc['id']!r}")
+        seen.add(doc["id"])
+        _check_label(doc, lineno)
+        _check_prob(doc, "calibrated_prob", lineno)
+        rows.append(doc)
     return rows
 
 
@@ -491,7 +500,7 @@ def compare_command(
         {
             "n": len(rows_a),
             "fractions": list(fractions),
-            "strata": [s.as_dict() for s in strata],
+            "strata": [asdict(s) for s in strata],
         },
     )
     return strata
@@ -519,13 +528,13 @@ def synth_command(n: int, mode: str, seed: int, output_path) -> dict:
     if mode == "calibrated":
         s = rng.uniform(size=n)
         y = (rng.uniform(size=n) < s).astype(int)
-        rows = _ps_rows(s, y)
+        schema_id, X = "ps", calibrate.logit(s)[:, None]
     elif mode == "platt":
         w0, w1 = PLATT_TRUE_WEIGHTS
         s = rng.uniform(size=n)
         q = calibrate.sigmoid(w0 + w1 * calibrate.logit(s))
         y = (rng.uniform(size=n) < q).astype(int)
-        rows = _ps_rows(s, y)
+        schema_id, X = "ps", calibrate.logit(s)[:, None]
         sidecar.update({"w0": w0, "w1": w1})
     elif mode == "mps-signal":
         schema = resolve_schema("mps-nucleus")
@@ -538,50 +547,43 @@ def synth_command(n: int, mode: str, seed: int, output_path) -> dict:
         v = X[:, names.index(SIGNAL_FEATURE)]
         q = calibrate.sigmoid(b0 + b1 * u + b2 * v)
         y = (rng.uniform(size=n) < q).astype(int)
-        rows = [
-            {
-                "id": f"syn{i:06d}",
-                "label": int(y[i]),
-                "group": None,
-                "schema_id": schema.schema_id,
-                "values": [float(x) for x in X[i]],
-                "raw_prob": float(s[i]),
-            }
-            for i in range(n)
-        ]
+        schema_id = schema.schema_id
         sidecar.update(
             {"weights": list(SIGNAL_WEIGHTS), "informative_feature": SIGNAL_FEATURE}
         )
     else:
         raise ValueError(f"unknown synth mode {mode!r}")
+    rows = [
+        {
+            "id": f"syn{i:06d}",
+            "label": label,
+            "group": None,
+            "schema_id": schema_id,
+            "values": values,
+            "raw_prob": prob,
+        }
+        for i, (values, label, prob) in enumerate(zip(X.tolist(), y.tolist(), s.tolist()))
+    ]
     _write_jsonl(output_path, rows)
     _write_json(str(output_path) + ".sidecar.json", sidecar)
     return sidecar
-
-
-def _ps_rows(s: np.ndarray, y: np.ndarray) -> list[dict]:
-    u = calibrate.logit(s)
-    return [
-        {
-            "id": f"syn{i:06d}",
-            "label": int(y[i]),
-            "group": None,
-            "schema_id": "ps",
-            "values": [float(u[i])],
-            "raw_prob": float(s[i]),
-        }
-        for i in range(len(s))
-    ]
 
 
 # -- small IO helpers -----------------------------------------------------------
 
 
 def _write_jsonl(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, separators=(",", ":")))
-            fh.write("\n")
+    """Write ``rows``, any iterable, through a temporary file: an error raised
+    while they are produced leaves nothing at ``path``."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for row in rows:
+                fh.write(json.dumps(row, separators=(",", ":")))
+                fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_json(path, doc) -> None:

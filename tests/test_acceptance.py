@@ -97,11 +97,11 @@ def test_mps_dominates_ps_with_signal(tmp_path):
         cal, test = slice(0, 20_000), slice(20_000, 40_000)
 
         ps_data = LabeledFeatures(
-            ids=ff.ids[cal], X=ff.X[cal, :1], y=ff.y[cal],
+            X=ff.X[cal, :1], y=ff.y[cal],
             schema_id=ff.schema_id, feature_names=ff.feature_names[:1],
         )
         mps_data = LabeledFeatures(
-            ids=ff.ids[cal], X=ff.X[cal], y=ff.y[cal],
+            X=ff.X[cal], y=ff.y[cal],
             schema_id=ff.schema_id, feature_names=ff.feature_names,
         )
         ps_scores = apply_model(mps_fit(ps_data), ff.X[test, :1])

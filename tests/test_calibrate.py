@@ -30,7 +30,6 @@ def make_data(X, y, names=None):
         X = X.T
     names = tuple(names or (f"f{i}" for i in range(X.shape[1])))
     return LabeledFeatures(
-        ids=tuple(str(i) for i in range(len(y))),
         X=X,
         y=np.asarray(y, dtype=float),
         schema_id="test",
@@ -203,7 +202,6 @@ class TestPlattFit:
         y = (rng.uniform(size=400) < s).astype(float)
         via_platt = platt_fit(s, y)
         data = LabeledFeatures(
-            ids=tuple(str(i) for i in range(400)),
             X=logit(s)[:, None],
             y=y,
             schema_id="ps",

@@ -13,9 +13,11 @@ from sqlcalib.errors import (
     IdMismatch,
     JsonError,
     NoUsableCandidate,
+    ParseError,
     SchemaError,
     SchemaMismatch,
 )
+from sqlcalib.parser import parse_sql
 from sqlcalib.querygen import generate_candidate_records
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_candidates.jsonl"
@@ -59,6 +61,15 @@ class TestLoadCandidates:
     def test_bad_json_reports_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps(make_record()) + "\n{not json\n")
+        with pytest.raises(JsonError, match="line 2"):
+            pipeline.load_candidates(path)
+
+    @pytest.mark.parametrize(
+        "line", [b'{"id": "\xff"}', b"[" * 100_000 + b"]" * 100_000], ids=["utf8", "depth"]
+    )
+    def test_undecodable_line_reports_line_number(self, tmp_path, line):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(json.dumps(make_record()).encode() + b"\n" + line + b"\n")
         with pytest.raises(JsonError, match="line 2"):
             pipeline.load_candidates(path)
 
@@ -232,6 +243,128 @@ class TestFeaturize:
         pipeline.featurize_command(path, out, "ps")
         row = json.loads(out.read_text().splitlines()[0])
         assert row["raw_prob"] == pytest.approx(np.exp(-0.5), rel=1e-12)
+
+
+class TestStreaming:
+    def test_featurize_records_takes_a_generator(self):
+        summary = pipeline.RunSummary()
+        records = pipeline.iter_candidates(FIXTURE)
+        rows = list(pipeline.featurize_records(records, "mps-nb", summary=summary))
+        assert summary.input_records == 60
+        assert len(rows) == summary.used
+
+    def test_data_error_mid_file_leaves_no_output(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(make_record()) + "\n" + '{"id": "x"}\n')
+        out = tmp_path / "f.jsonl"
+        with pytest.raises(SchemaError, match="line 2: missing field 'label'"):
+            pipeline.featurize_command(path, out, "ps")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n" + json.dumps(make_record()) + "\n   \n")
+        assert [lineno for lineno, _ in pipeline.iter_jsonl(path)] == [2]
+
+
+def _featurize_summary(tmp_path, records):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, records)
+    out = tmp_path / "f.jsonl"
+    rc = main(["featurize", "--input", str(path), "--output", str(out), "--schema", "ps"])
+    summary = json.loads((tmp_path / "f.jsonl.summary.json").read_text()) if rc == 0 else None
+    return rc, summary, out
+
+
+class TestInputValues:
+    FEATURE_ROW = {"id": "a", "label": 1, "schema_id": "ps", "values": [0.1], "raw_prob": 0.5}
+    SCORED_ROW = {"id": "a", "label": 1, "calibrated_prob": 0.5}
+
+    def run_on(self, tmp_path, command, line):
+        """Exit code of ``command`` on a file holding ``line`` after a good row."""
+        path = tmp_path / "in.jsonl"
+        good = {"featurize": make_record(), "fit": self.FEATURE_ROW, "compare": self.SCORED_ROW}
+        path.write_text(json.dumps(good[command]) + "\n" + line + "\n")
+        argv = {
+            "featurize": ["featurize", "--input", str(path)],
+            "fit": ["fit", "--input", str(path)],
+            "compare": ["compare", "--input-a", str(path), "--input-b", str(path)],
+        }[command]
+        return main(argv + ["--output", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("command", ["featurize", "fit", "compare"])
+    @pytest.mark.parametrize("line", ["5", "null", "[1]", '"text"'])
+    def test_non_object_line_is_a_data_error(self, tmp_path, capsys, command, line):
+        assert self.run_on(tmp_path, command, line) == 2
+        assert "line 2: expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, row",
+        [
+            ("featurize", make_record(label=True)),
+            ("featurize", make_record(candidates=[5])),
+            ("featurize", make_record(extra_features=[0.5])),
+            ("featurize", make_record(candidates=[
+                {"sql": "select a from b", "sum_log_prob": True, "source": "nucleus"}
+            ])),
+            ("fit", {**FEATURE_ROW, "label": True}),
+            ("compare", {**SCORED_ROW, "label": True}),
+            ("fit", {**FEATURE_ROW, "label": 2}),
+            ("fit", {**FEATURE_ROW, "raw_prob": 1.7}),
+            ("fit", {**FEATURE_ROW, "raw_prob": -0.1}),
+            ("fit", {**FEATURE_ROW, "raw_prob": float("nan")}),
+            ("fit", {**FEATURE_ROW, "raw_prob": "0.5"}),
+            ("compare", {**SCORED_ROW, "calibrated_prob": 1.2}),
+            ("compare", {**SCORED_ROW, "calibrated_prob": float("inf")}),
+            ("compare", SCORED_ROW),  # a second row with id "a"
+        ],
+    )
+    def test_bad_value_is_a_data_error(self, tmp_path, capsys, command, row):
+        assert self.run_on(tmp_path, command, json.dumps(row)) == 2
+        assert "line 2:" in capsys.readouterr().err
+
+    def test_evaluate_rejects_out_of_range_raw_prob(self, tmp_path):
+        rows = [{**self.FEATURE_ROW, "id": f"r{i}", "label": i % 2} for i in range(3)]
+        rows[1]["raw_prob"] = 1.7
+        write_jsonl(tmp_path / "f.jsonl", rows)
+        with pytest.raises(SchemaError, match="line 2: raw_prob"):
+            pipeline.evaluate_command(tmp_path / "f.jsonl", None, tmp_path / "e")
+
+    @pytest.mark.parametrize("value", ["abc", float("nan"), float("inf"), True, None, 10**400])
+    def test_bad_extra_feature_fails_only_its_record(self, tmp_path, value):
+        rc, summary, out = _featurize_summary(tmp_path, [
+            make_record(id="ok", extra_features={"p": 0.5}),
+            make_record(id="bad", extra_features={"p": value}),
+        ])
+        assert rc == 0
+        assert (summary["used"], summary["failed"]) == (1, 1)
+        assert summary["failures"] == [
+            {"id": "bad", "reason": "extra feature 'p' must be a finite number"}
+        ]
+        assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["ok"]
+
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda n: "SELECT a FROM t WHERE " + "(" * n + "x" + ")" * n,
+            lambda n: "SELECT " + "-" * n + "1 FROM t",
+            lambda n: "SELECT a FROM t WHERE " + "NOT " * n + "x = 1",
+            lambda n: " UNION ".join(["SELECT a FROM t"] * n),
+        ],
+        ids=["parentheses", "unary-minus", "not", "union-chain"],
+    )
+    def test_deep_nesting_is_a_candidate_parse_failure(self, tmp_path, nest):
+        parse_sql(nest(40))
+        deep = nest(3000)
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_sql(deep)
+        rc, summary, _ = _featurize_summary(tmp_path, [make_record(candidates=[
+            {"sql": "select a from t", "sum_log_prob": -0.5, "source": "nucleus"},
+            {"sql": deep, "sum_log_prob": -0.1, "source": "nucleus"},
+        ])])
+        assert rc == 0
+        assert summary["used"] == 1
+        assert summary["candidate_parse_failures"] == 1
 
 
 @pytest.fixture(scope="module")
