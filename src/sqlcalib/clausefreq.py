@@ -19,35 +19,30 @@ PROB_EPS = 1e-12
 MATCH_VECTOR_LEN = 19  # 1 set-op + 9 clauses per root subquery
 SCF_VECTOR_LEN = 20  # 19 frequencies + their product
 
-
-def clause_match(kind: str, q1: QueryTree, q2: QueryTree) -> int:
-    """1 iff clause ``kind`` matches at every aligned node of both trees.
-
-    Leaves compare canonical clause text (absent on both sides counts as
-    a match); internal nodes match if either child pairing matches on
-    both branches; a leaf never matches an internal node.
-    """
-    leaf1 = isinstance(q1, SelectStatement)
-    leaf2 = isinstance(q2, SelectStatement)
-    if leaf1 and leaf2:
-        return int(q1.clause_map[kind] == q2.clause_map[kind])
-    if leaf1 or leaf2:
-        return 0
-    straight = clause_match(kind, q1.left, q2.left) and clause_match(kind, q1.right, q2.right)
-    if straight:
-        return 1
-    return int(
-        clause_match(kind, q1.left, q2.right) and clause_match(kind, q1.right, q2.left)
-    )
+_ALL = (1,) * len(CLAUSE_KINDS)
+_NONE = (0,) * len(CLAUSE_KINDS)
 
 
 def subquery_match(q1, q2) -> tuple[int, ...]:
-    """Nine clause signals for a pair of root subqueries (either may be None)."""
-    if q1 is None and q2 is None:
-        return (1,) * len(CLAUSE_KINDS)
+    """Nine clause signals for a pair of root subqueries (either may be None).
+
+    Leaves compare canonical clause text (absent on both sides counts as
+    a match); internal nodes match a clause if either child pairing
+    matches it on both branches; a leaf never matches an internal node.
+    """
     if q1 is None or q2 is None:
-        return (0,) * len(CLAUSE_KINDS)
-    return tuple(clause_match(kind, q1, q2) for kind in CLAUSE_KINDS)
+        return _ALL if q1 is q2 else _NONE
+    leaf1 = isinstance(q1, SelectStatement)
+    leaf2 = isinstance(q2, SelectStatement)
+    if leaf1 and leaf2:
+        return tuple([int(a == b) for a, b in zip(q1.clauses, q2.clauses)])
+    if leaf1 or leaf2:
+        return _NONE
+    ll = subquery_match(q1.left, q2.left)
+    rr = subquery_match(q1.right, q2.right)
+    lr = subquery_match(q1.left, q2.right)
+    rl = subquery_match(q1.right, q2.left)
+    return tuple([(a & b) | (c & d) for a, b, c, d in zip(ll, rr, lr, rl)])
 
 
 def query_match(qa: QueryTree, qb: QueryTree) -> tuple[int, ...]:

@@ -1,21 +1,14 @@
 """Recursive-descent parser for the supported SQL subset.
 
-The parser validates structure and simultaneously builds canonical token
-fragments for each clause. Anything outside the subset raises ParseError,
+The parser validates structure and simultaneously builds the canonical
+text of each clause. Anything outside the subset raises ParseError,
 which downstream stages treat as a syntactically bad candidate.
 """
 
 from . import lexer
 from .errors import ParseError
 from .lexer import EOF, IDENT, KEYWORD, LPAREN, NUMBER, OP, RPAREN, SEMI, STRING, Token
-from .sqlast import (
-    FromClause,
-    JoinStep,
-    QueryTree,
-    SelectStatement,
-    SetOperation,
-    _tree_tokens,
-)
+from .sqlast import QueryTree, SelectStatement, SetOperation, canonicalize
 
 _COMPARISONS = ("=", "==", "!=", "<>", "<", "<=", ">", ">=")
 _JOIN_STARTERS = ("join", "inner", "left", "right", "full", "cross")
@@ -102,41 +95,31 @@ class _Parser:
 
     def parse_select(self) -> SelectStatement:
         self.expect_keyword("select")
-        distinct = False
+        distinct = where = group_by = having = order_by = limit = None
         if self.at_keyword("distinct"):
-            self.advance()
-            distinct = True
-        select_list = self.parse_select_list()
+            distinct = self.advance().text
+        select = " ".join(self.parse_select_list())
         self.expect_keyword("from")
-        from_clause = self.parse_from()
-        where = group_by = having = order_by = limit = None
+        tables, on, from_body = self.parse_from()
         if self.at_keyword("where"):
             self.advance()
-            where = tuple(self.parse_expr())
+            where = " ".join(self.parse_expr())
         if self.at_keyword("group"):
             self.advance()
             self.expect_keyword("by")
-            group_by = tuple(self.parse_expr_list())
+            group_by = " ".join(self.parse_expr_list())
         if self.at_keyword("having"):
             self.advance()
-            having = tuple(self.parse_expr())
+            having = " ".join(self.parse_expr())
         if self.at_keyword("order"):
             self.advance()
             self.expect_keyword("by")
-            order_by = tuple(self.parse_order_list())
+            order_by = " ".join(self.parse_order_list())
         if self.at_keyword("limit"):
             self.advance()
-            limit = (self.expect_kind(NUMBER, "number after LIMIT").text,)
-        return SelectStatement(
-            distinct=distinct,
-            select_list=tuple(select_list),
-            from_clause=from_clause,
-            where=where,
-            group_by=group_by,
-            having=having,
-            order_by=order_by,
-            limit=limit,
-        )
+            limit = self.expect_kind(NUMBER, "number after LIMIT").text
+        clauses = (distinct, select, tables, on, where, group_by, having, order_by, limit)
+        return SelectStatement(clauses, from_body)
 
     def parse_select_list(self) -> list[str]:
         out = self.parse_select_item()
@@ -161,27 +144,32 @@ class _Parser:
 
     # -- FROM -----------------------------------------------------------
 
-    def parse_from(self) -> FromClause:
-        first = self.parse_table_ref()
-        joins: list[JoinStep] = []
+    def parse_from(self) -> tuple[str, str | None, str]:
+        """The FROM clause as its tables text, its ON text (None without an
+        ON) and its full text with each ON condition in place."""
+        tables = self.parse_table_ref()
+        body = list(tables)
+        ons = []
         while True:
+            on = None
             if self.peek().kind == lexer.COMMA:
                 self.advance()
-                joins.append(JoinStep((",",), tuple(self.parse_table_ref()), None))
-                continue
-            if self.at_keyword(*_JOIN_STARTERS):
-                connector = self.parse_join_connector()
-                table = tuple(self.parse_table_ref())
-                on = None
+                step = [","] + self.parse_table_ref()
+            elif self.at_keyword(*_JOIN_STARTERS):
+                step = self.parse_join_connector() + self.parse_table_ref()
                 if self.at_keyword("on"):
                     self.advance()
-                    on = tuple(self.parse_expr())
-                joins.append(JoinStep(connector, table, on))
-                continue
-            break
-        return FromClause(first=tuple(first), joins=tuple(joins))
+                    on = " ".join(self.parse_expr())
+            else:
+                break
+            tables += step
+            body += step
+            if on is not None:
+                ons.append(on)
+                body += ("on", on)
+        return " ".join(tables), " | ".join(ons) if ons else None, " ".join(body)
 
-    def parse_join_connector(self) -> tuple[str, ...]:
+    def parse_join_connector(self) -> list[str]:
         words = [self.advance().text]
         if words[0] in ("inner", "cross"):
             self.expect_keyword("join")
@@ -192,7 +180,7 @@ class _Parser:
                 words.append("outer")
             self.expect_keyword("join")
             words.append("join")
-        return tuple(words)
+        return words
 
     def parse_table_ref(self) -> list[str]:
         if self.peek().kind == LPAREN and self.peek(1).kind == KEYWORD and self.peek(1).text == "select":
@@ -391,4 +379,4 @@ class _Parser:
         self.expect_kind(LPAREN, "(")
         tree = self.nested(self.parse_query)
         self.expect_kind(RPAREN, ") to close subquery")
-        return ["("] + _tree_tokens(tree) + [")"]
+        return ["(", canonicalize(tree), ")"]

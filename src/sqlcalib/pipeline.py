@@ -10,6 +10,7 @@ import math
 import os
 import warnings
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -88,6 +89,13 @@ def _check_label(doc: dict, lineno: int) -> int:
     return int(label)
 
 
+def _check_group(doc: dict, lineno: int) -> Optional[str]:
+    group = doc.get("group")
+    if group is not None and type(group) is not str:
+        raise SchemaError(f"line {lineno}: group must be a string or null, got {group!r}")
+    return group
+
+
 def _check_prob(doc: dict, key: str, lineno: int) -> float:
     value = doc[key]
     if type(value) not in (int, float) or not 0 <= value <= 1:
@@ -116,12 +124,16 @@ def load_candidates(path) -> list[CandidateRecord]:
 
 def _record_from_doc(doc: dict, lineno: int) -> CandidateRecord:
     label = _check_label(doc, lineno)
+    group = _check_group(doc, lineno)
     raw_cands = doc["candidates"]
     if not isinstance(raw_cands, list) or not raw_cands:
         raise SchemaError(f"line {lineno}: candidates must be a non-empty list")
     extras = doc.get("extra_features")
     if extras is not None and not isinstance(extras, dict):
         raise SchemaError(f"line {lineno}: extra_features must be an object")
+    for name in extras or ():
+        if not name or "+" in name:  # "+" separates extras in a schema id
+            raise SchemaError(f"line {lineno}: bad extra feature name {name!r}: empty or has '+'")
     candidates = []
     failures = 0
     for i, c in enumerate(raw_cands):
@@ -154,7 +166,7 @@ def _record_from_doc(doc: dict, lineno: int) -> CandidateRecord:
         id=str(doc["id"]),
         label=label,
         candidates=candidates,
-        group=doc.get("group"),
+        group=group,
         extra_features=extras,
         parse_failures=failures,
     )
@@ -275,11 +287,13 @@ class FeatureFile:
 
 
 def load_features(path) -> FeatureFile:
-    ids, values, labels, raw, groups = [], [], [], [], []
+    ids, values, labels, raw, groups, linenos = [], [], [], [], [], []
     schema_id = None
     for lineno, doc in iter_jsonl(path, ("id", "label", "schema_id", "values", "raw_prob")):
         if schema_id is None:
             schema_id = doc["schema_id"]
+            if type(schema_id) is not str:
+                raise SchemaError(f"line {lineno}: schema_id must be a string, got {schema_id!r}")
             expected_len = resolve_schema(schema_id).length
         elif doc["schema_id"] != schema_id:
             raise SchemaError(
@@ -293,18 +307,36 @@ def load_features(path) -> FeatureFile:
         values.append(doc["values"])
         labels.append(_check_label(doc, lineno))
         raw.append(_check_prob(doc, "raw_prob", lineno))
-        groups.append(doc.get("group"))
+        groups.append(_check_group(doc, lineno))
+        linenos.append(lineno)
     if schema_id is None:
         raise SchemaError(f"{path}: no feature rows")
     return FeatureFile(
         ids=tuple(ids),
-        X=np.asarray(values, dtype=float),
+        X=_feature_matrix(values, linenos),
         y=np.asarray(labels, dtype=float),
         raw_prob=np.asarray(raw, dtype=float),
         groups=tuple(groups),
         schema_id=schema_id,
         feature_names=resolve_schema(schema_id).feature_names(),
     )
+
+
+def _feature_matrix(values: list[list], linenos: list[int]) -> np.ndarray:
+    """``values`` as a float matrix; a value that is not a finite int or float
+    (a bool, a string, null, NaN, infinity) is a SchemaError naming its line."""
+    X = None
+    if set(map(type, chain.from_iterable(values))) <= {int, float}:  # one C-level pass
+        try:
+            X = np.asarray(values, dtype=float)
+        except OverflowError:  # an int past the float range
+            pass
+    if X is None or not np.isfinite(X).all():
+        for lineno, row in zip(linenos, values):
+            for v in row:
+                if finite_float(v) is None:
+                    raise SchemaError(f"line {lineno}: values must be finite numbers, got {v!r}")
+    return X
 
 
 # -- fitting ----------------------------------------------------------------
@@ -470,6 +502,7 @@ def load_scored(path) -> list[dict]:
             raise SchemaError(f"line {lineno}: duplicate id {doc['id']!r}")
         seen.add(doc["id"])
         _check_label(doc, lineno)
+        _check_group(doc, lineno)
         _check_prob(doc, "calibrated_prob", lineno)
         rows.append(doc)
     return rows

@@ -7,10 +7,9 @@ is driven by ``random.Random`` so fixtures regenerate byte-identically.
 """
 
 import random
-from dataclasses import replace
 
 from .parser import parse_sql
-from .sqlast import QueryTree, SelectStatement, SetOperation, canonicalize
+from .sqlast import QueryTree, SelectStatement, SetOperation, canonicalize, extract_clauses
 
 _TABLES = ["orders", "users", "flights", "pilotskills", "receipts", "goods", "schools"]
 _COLUMNS = ["id", "name", "age", "price", "city", "food", "county", "built_year"]
@@ -138,8 +137,8 @@ def generate_query(rng: random.Random) -> str:
 def mutate_tree(rng: random.Random, tree: QueryTree) -> QueryTree:
     """A nearby but different query: one clause of one leaf is perturbed.
 
-    Edits operate on canonical token tuples, so the result always
-    serializes back into the grammar.
+    Edits replace canonical clause text, so the result always serializes
+    back into the grammar.
     """
     if isinstance(tree, SetOperation):
         if rng.random() < 0.5:
@@ -147,14 +146,17 @@ def mutate_tree(rng: random.Random, tree: QueryTree) -> QueryTree:
         return SetOperation(tree.op, tree.left, mutate_tree(rng, tree.right))
     col = rng.choice(_COLUMNS)
     num = str(rng.randint(501, 999))
+    clauses = extract_clauses(tree)
     edits = [
-        replace(tree, where=(col, ">", num)),
-        replace(tree, limit=(num,)),
-        replace(tree, order_by=(col, "desc")),
-        replace(tree, select_list=(col,)),
-        replace(tree, distinct=not tree.distinct),
+        ("where", f"{col} > {num}"),
+        ("limit", num),
+        ("order_by", f"{col} desc"),
+        ("select", col),
+        ("distinct", None if clauses["distinct"] else "distinct"),
     ]
-    return rng.choice(edits)
+    kind, text = rng.choice(edits)
+    clauses[kind] = text
+    return SelectStatement(tuple(clauses.values()), tree.from_body)
 
 
 def generate_candidate_records(n: int, seed: int) -> list[dict]:

@@ -1,14 +1,14 @@
 """Query tree nodes, canonical serialization, and clause extraction.
 
 A parsed query is a binary tree: internal nodes are set operations over
-exactly two children, leaves are single SELECT statements. Clause bodies
-are stored as tuples of canonical tokens (lowercased words, byte-exact
-string literals, numbers as written), so serialization is just joining
-with single spaces and matching is plain text equality.
+exactly two children, leaves are single SELECT statements. A leaf holds
+the canonical text of each of its nine clauses (lowercased words,
+byte-exact string literals, numbers as written, tokens separated by
+single spaces), so matching is plain text equality and serialization
+only puts the clause keywords back.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, NamedTuple, Union
 
 # The nine clause kinds, in the fixed order used everywhere downstream.
@@ -26,64 +26,20 @@ CLAUSE_KINDS = (
 
 SET_OPS = ("union", "union all", "intersect", "except")
 
-Tokens = tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class JoinStep:
-    """One step of a FROM chain: a connector, a table ref, optional ON."""
-
-    connector: Tokens  # (",",) or ("join",) or ("left", "outer", "join"), ...
-    table: Tokens
-    on: Optional[Tokens]
-
-
-@dataclass(frozen=True)
-class FromClause:
-    first: Tokens
-    joins: tuple[JoinStep, ...] = ()
-
-    def table_tokens(self) -> Tokens:
-        """Tables and join connectors only; ON conditions factored out."""
-        out = list(self.first)
-        for step in self.joins:
-            out.extend(step.connector)
-            out.extend(step.table)
-        return tuple(out)
-
-    def full_tokens(self) -> Tokens:
-        """Everything, with each ON condition in its source position."""
-        out = list(self.first)
-        for step in self.joins:
-            out.extend(step.connector)
-            out.extend(step.table)
-            if step.on is not None:
-                out.append("on")
-                out.extend(step.on)
-        return tuple(out)
-
-    def on_conditions(self) -> tuple[Tokens, ...]:
-        return tuple(step.on for step in self.joins if step.on is not None)
-
 
 @dataclass(frozen=True)
 class SelectStatement:
-    distinct: bool
-    select_list: Tokens
-    from_clause: FromClause
-    where: Optional[Tokens] = None
-    group_by: Optional[Tokens] = None
-    having: Optional[Tokens] = None
-    order_by: Optional[Tokens] = None
-    limit: Optional[Tokens] = None
+    """One SELECT: its clause texts, and its FROM text for serialization.
 
-    @property
-    def on_conditions(self) -> tuple[Tokens, ...]:
-        return self.from_clause.on_conditions()
+    ``clauses`` holds one entry per ``CLAUSE_KINDS`` kind, None where the
+    clause is absent, without its leading keyword. DISTINCT's entry is
+    the word itself; FROM's lists tables and join connectors only; ON's
+    joins every join condition in source order with " | ". ``from_body``
+    is the FROM text with each ON condition back in its source position.
+    """
 
-    @cached_property
-    def clause_map(self) -> dict:
-        return extract_clauses(self)
+    clauses: tuple[Optional[str], ...]
+    from_body: str
 
 
 @dataclass(frozen=True)
@@ -116,48 +72,21 @@ def decompose(tree: QueryTree) -> Decomposition:
 
 
 def extract_clauses(stmt: SelectStatement) -> dict:
-    """Map each of the nine clause kinds to canonical text or None.
+    """Map each of the nine clause kinds to canonical text or None."""
+    return dict(zip(CLAUSE_KINDS, stmt.clauses))
 
-    The leading keyword is excluded from each value (DISTINCT's value is
-    the literal word itself); the ON entry concatenates every join
-    condition in source order, separated by " | ".
-    """
-    ons = stmt.on_conditions
-    return {
-        "distinct": "distinct" if stmt.distinct else None,
-        "select": " ".join(stmt.select_list),
-        "from": " ".join(stmt.from_clause.table_tokens()),
-        "on": " | ".join(" ".join(c) for c in ons) if ons else None,
-        "where": " ".join(stmt.where) if stmt.where else None,
-        "group_by": " ".join(stmt.group_by) if stmt.group_by else None,
-        "having": " ".join(stmt.having) if stmt.having else None,
-        "order_by": " ".join(stmt.order_by) if stmt.order_by else None,
-        "limit": " ".join(stmt.limit) if stmt.limit else None,
-    }
+
+# the keywords of the clauses after FROM, in CLAUSE_KINDS order
+_TAIL_KEYWORDS = ("where", "group by", "having", "order by", "limit")
 
 
 def canonicalize(tree: QueryTree) -> str:
     """Deterministic single-space, lowercase-keyword serialization."""
-    return " ".join(_tree_tokens(tree))
-
-
-def _tree_tokens(tree: QueryTree) -> list[str]:
     if isinstance(tree, SetOperation):
-        return _tree_tokens(tree.left) + tree.op.split() + _tree_tokens(tree.right)
-    out = ["select"]
-    if tree.distinct:
-        out.append("distinct")
-    out.extend(tree.select_list)
-    out.append("from")
-    out.extend(tree.from_clause.full_tokens())
-    for kw, body in (
-        ("where", tree.where),
-        ("group by", tree.group_by),
-        ("having", tree.having),
-        ("order by", tree.order_by),
-        ("limit", tree.limit),
-    ):
-        if body is not None:
-            out.extend(kw.split())
-            out.extend(body)
-    return out
+        return f"{canonicalize(tree.left)} {tree.op} {canonicalize(tree.right)}"
+    distinct, select, _, _, *tail = tree.clauses
+    out = ["select distinct" if distinct else "select", select, "from", tree.from_body]
+    for keyword, text in zip(_TAIL_KEYWORDS, tail):
+        if text is not None:
+            out += (keyword, text)
+    return " ".join(out)

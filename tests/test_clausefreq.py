@@ -9,7 +9,6 @@ from sqlcalib.clausefreq import (
     MATCH_VECTOR_LEN,
     assemble_features,
     clause_frequencies,
-    clause_match,
     logit_of_log_prob,
     query_match,
     resolve_schema,
@@ -52,28 +51,30 @@ class TestSubqueryMatch:
 
 
 class TestClauseMatch:
+    """The per-clause rules of :func:`subquery_match` on leaves and set operations."""
+
     def test_identical_leaves(self):
         a = q("select a from b where x = 1")
         b = q("select a from b where x = 1")
-        assert clause_match("where", a, b) == 1
+        assert subquery_match(a, b)[CLAUSE_KINDS.index("where")] == 1
 
     def test_shape_mismatch_scores_zero(self):
         leaf = q("select a from b where x = 1")
         node = q("select a from b union select c from d")
-        for kind in CLAUSE_KINDS:
-            assert clause_match(kind, leaf, node) == 0
-            assert clause_match(kind, node, leaf) == 0
+        assert subquery_match(leaf, node) == (0,) * 9
+        assert subquery_match(node, leaf) == (0,) * 9
 
     def test_crossed_child_pairing_detected(self):
         a = q("select a from t union select b from t")
         b = q("select b from t union select a from t")
-        assert clause_match("select", a, b) == 1
-        assert clause_match("from", a, b) == 1
+        got = subquery_match(a, b)
+        assert got[CLAUSE_KINDS.index("select")] == 1
+        assert got[CLAUSE_KINDS.index("from")] == 1
 
     def test_set_ops_ignored_during_traversal(self):
         a = q("select a from t union select b from t")
         b = q("select a from t except select b from t")
-        assert clause_match("select", a, b) == 1
+        assert subquery_match(a, b)[CLAUSE_KINDS.index("select")] == 1
 
 
 class TestQueryMatch:

@@ -1,9 +1,11 @@
-"""Property test: featurize accounts for every record and never crashes.
+"""Property tests: garbage in the logs is a data error, never a crash.
 
-Random JSON lines and random SQL text go through the CLI. Whatever the
-input, the exit code is 0 (every record used, unusable or failed) or 2
-(a data error in the file); a usage error (1) or an internal error (3)
-would mean garbage in the model's logs broke the pipeline.
+Random JSON lines and random SQL text go through featurize, and random
+feature rows through fit, apply and evaluate. Whatever the input, the
+exit code is 0 (for featurize: every record used, unusable or failed) or
+2 (a data error in the file); a usage error (1) or an internal error (3)
+would mean garbage in the model's logs broke the pipeline. Every file a
+command writes must be strict JSON, with no NaN or Infinity.
 """
 
 import json
@@ -87,3 +89,57 @@ def test_featurize_exits_0_or_2_and_accounts_for_every_record(lines, schema):
             accounted = summary["used"] + summary["unusable"] + summary["failed"]
             assert accounted == summary["input_records"]
             assert len(out.read_text().splitlines()) == summary["used"]
+
+
+def strict_json(text):
+    """``json.loads`` that rejects the NaN and Infinity constants."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+# one "ps" row: a single value, the logit of the model probability
+FEATURE_ROW = st.fixed_dictionaries(
+    {
+        "id": st.text(max_size=4),
+        "label": mostly(st.sampled_from([0, 1])),
+        "schema_id": mostly(st.just("ps")),
+        "values": mostly(st.tuples(mostly(st.floats(-5, 5) | st.integers(-5, 5)))),
+        "raw_prob": mostly(st.floats(0, 1)),
+    },
+    optional={"group": mostly(st.sampled_from(["easy", "hard", None]))},
+)
+
+
+@pytest.fixture(scope="module")
+def ps_model(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("model")
+    rows = [
+        {"id": str(i), "label": i % 2, "schema_id": "ps", "values": [i / 4 - 1], "raw_prob": 0.5}
+        for i in range(8)
+    ]
+    (tmp / "f.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(["fit", "--input", str(tmp / "f.jsonl"), "--output", str(tmp / "m.json")]) == 0
+    return tmp / "m.json"
+
+
+@pytest.mark.filterwarnings("ignore")  # non-converging fits on degenerate random rows
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=st.lists(FEATURE_ROW, min_size=1, max_size=6))
+def test_feature_file_commands_exit_0_or_2_and_write_strict_json(ps_model, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        src = tmp / "f.jsonl"
+        src.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        for argv in (
+            ["fit", "--input", str(src), "--output", str(tmp / "m.json")],
+            ["apply", "--input", str(src), "--model", str(ps_model), "--output", str(tmp / "s.jsonl")],
+            ["evaluate", "--input", str(src), "--model", str(ps_model), "--output", str(tmp / "ev"),
+             "--group-by", "group"],
+        ):
+            assert main(argv) in (0, 2), argv[0]
+        for path in tmp.rglob("*.json*"):  # model, metrics and scored files
+            if path != src:
+                text = path.read_text(encoding="utf-8")
+                for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+                    strict_json(doc)

@@ -317,11 +317,63 @@ class TestInputValues:
             ("compare", {**SCORED_ROW, "calibrated_prob": 1.2}),
             ("compare", {**SCORED_ROW, "calibrated_prob": float("inf")}),
             ("compare", SCORED_ROW),  # a second row with id "a"
+            ("featurize", make_record(group=3)),
+            ("featurize", make_record(extra_features={"a+b": 0.5})),
+            ("featurize", make_record(extra_features={"": 0.5})),
+            ("fit", {**FEATURE_ROW, "group": 3}),
+            ("fit", {**FEATURE_ROW, "group": ["x"]}),
+            ("compare", {**SCORED_ROW, "id": "b", "group": 3}),
+            ("fit", {**FEATURE_ROW, "values": ["x"]}),
+            ("fit", {**FEATURE_ROW, "values": ["1.5"]}),
+            ("fit", {**FEATURE_ROW, "values": [True]}),
+            ("fit", {**FEATURE_ROW, "values": [None]}),
+            ("fit", {**FEATURE_ROW, "values": [float("nan")]}),
+            ("fit", {**FEATURE_ROW, "values": [10**400]}),
+            ("fit", {**FEATURE_ROW, "values": [[0.1]]}),
         ],
     )
     def test_bad_value_is_a_data_error(self, tmp_path, capsys, command, row):
         assert self.run_on(tmp_path, command, json.dumps(row)) == 2
         assert "line 2:" in capsys.readouterr().err
+
+    def test_non_string_schema_id_is_a_data_error(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "f.jsonl", [{**self.FEATURE_ROW, "schema_id": 5}])
+        assert main(["fit", "--input", str(tmp_path / "f.jsonl"), "--output", str(tmp_path / "m")]) == 2
+        assert "line 1: schema_id must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("group", [3, ["x"]])
+    def test_evaluate_by_group_rejects_non_string_group(self, tmp_path, capsys, group):
+        rows = [{**self.FEATURE_ROW, "group": "x"}, {**self.FEATURE_ROW, "id": "b", "group": group}]
+        write_jsonl(tmp_path / "f.jsonl", rows)
+        argv = ["evaluate", "--input", str(tmp_path / "f.jsonl"), "--output", str(tmp_path / "e")]
+        assert main(argv + ["--group-by", "group"]) == 2
+        assert "line 2: group must be a string or null" in capsys.readouterr().err
+
+    def test_apply_rejects_null_value_and_writes_nothing(self, tmp_path, feature_files):
+        model = tmp_path / "m.json"
+        pipeline.fit_command(feature_files["ps"], "ps", model)
+        rows = [self.FEATURE_ROW, {**self.FEATURE_ROW, "id": "b", "values": [None]}]
+        write_jsonl(tmp_path / "f.jsonl", rows)
+        out = tmp_path / "s.jsonl"
+        argv = ["apply", "--input", str(tmp_path / "f.jsonl"), "--model", str(model)]
+        assert main(argv + ["--output", str(out)]) == 2
+        assert not out.exists()
+
+    def test_extra_names_round_trip_from_featurize_to_fit(self, tmp_path, capsys):
+        records = [
+            make_record(id=f"r{i}", label=i % 2, extra_features={"p_true": i / 4, "a+b": 0.5})
+            for i in range(4)
+        ]
+        rc, _, out = _featurize_summary(tmp_path, records)
+        assert rc == 2 and not out.exists()
+        assert "line 1: bad extra feature name 'a+b'" in capsys.readouterr().err
+        for record in records:
+            del record["extra_features"]["a+b"]
+        rc, summary, out = _featurize_summary(tmp_path, records)
+        assert rc == 0 and summary["used"] == 4
+        model = tmp_path / "m.json"
+        assert main(["fit", "--input", str(out), "--output", str(model), "--method", "mps"]) == 0
+        assert calibrate.load_model(model).feature_names == ("logit_prob", "p_true")
 
     def test_evaluate_rejects_out_of_range_raw_prob(self, tmp_path):
         rows = [{**self.FEATURE_ROW, "id": f"r{i}", "label": i % 2} for i in range(3)]
