@@ -9,9 +9,10 @@ own (logit) probability is prepended when assembling feature vectors.
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EmptyPool, SchemaMismatch
+from .errors import EmptyPool, SchemaError, SchemaMismatch
 from .sqlast import CLAUSE_KINDS, QueryTree, SelectStatement, decompose
 
 PROB_EPS = 1e-12
@@ -67,13 +68,17 @@ def _total(pair) -> int:
 
 def clause_frequencies(query: QueryTree, pool: list[QueryTree]) -> tuple[float, ...]:
     """Mean agreement signals of ``query`` against every pool member,
-    with the product of the 19 means appended as an aggregate."""
+    with the product of the 19 means appended as an aggregate.
+
+    Equal trees give equal signals, so each distinct member is matched
+    once and weighted by its count; the integer sums are unchanged.
+    """
     if not pool:
         raise EmptyPool("cannot score against an empty pool")
     sums = [0] * MATCH_VECTOR_LEN
-    for other in pool:
+    for other, count in Counter(pool).items():
         for i, bit in enumerate(query_match(query, other)):
-            sums[i] += bit
+            sums[i] += bit * count
     freqs = [s / len(pool) for s in sums]
     return tuple(freqs) + (math.prod(freqs),)
 
@@ -120,7 +125,11 @@ _BASE_SCHEMAS = {
 
 
 def resolve_schema(schema_id: str, extras: tuple[str, ...] = ()) -> FeatureSchema:
-    """Look up a schema by id; a "+name" suffix list declares extras."""
+    """Look up a schema by id; a "+name" suffix list declares extras.
+
+    An extra named like a standard feature, or a name given twice in the
+    suffix, is a SchemaError: every feature is looked up by its name.
+    """
     base, _, suffix = schema_id.partition("+")
     if base not in _BASE_SCHEMAS:
         raise SchemaMismatch(
@@ -128,7 +137,11 @@ def resolve_schema(schema_id: str, extras: tuple[str, ...] = ()) -> FeatureSchem
         )
     suffix_extras = tuple(s for s in suffix.split("+") if s) if suffix else ()
     merged = suffix_extras + tuple(e for e in extras if e not in suffix_extras)
-    return FeatureSchema(base, _BASE_SCHEMAS[base], tuple(sorted(merged)))
+    schema = FeatureSchema(base, _BASE_SCHEMAS[base], tuple(sorted(merged)))
+    repeated = sorted(n for n, count in Counter(schema.feature_names()).items() if count > 1)
+    if repeated:
+        raise SchemaError(f"feature schema {schema.schema_id!r} repeats feature names {repeated}")
+    return schema
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,11 @@ class EmptyInput(SqlCalibError):
     """A metric was asked to evaluate zero examples."""
 
 
+class OutOfDomain(SqlCalibError):
+    """A metric was given a label other than 0 or 1, or a score it cannot
+    score: not a finite number, or for a probability outside [0, 1]."""
+
+
 class NoUsableCandidate(SqlCalibError):
     """No parseable candidate exists in the requested scope."""
 

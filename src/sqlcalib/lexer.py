@@ -5,7 +5,8 @@ identifier and lowercased here, so the parser only ever sees canonical
 word spellings. String literal content is kept byte-exact.
 """
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -33,21 +34,17 @@ EOF = "eof"
 
 _TWO_CHAR_OPS = ("<=", ">=", "!=", "<>", "==", "||")
 _ONE_CHAR_OPS = "=<>+-*/%"
+# For str patterns \s matches exactly what str.isspace accepts and \w exactly
+# what str.isalnum accepts, plus "_". \d is narrower than str.isdigit
+# (it misses "²"), so numbers are still scanned with isdigit.
+_skip_space = re.compile(r"\s*").match
+_word_tail = re.compile(r"\w*").match
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str  # canonical text; for STRING this is the unescaped value
     offset: int
-
-
-def _is_word_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_word_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
 
 
 def tokenize(text: str) -> list[Token]:
@@ -57,13 +54,11 @@ def tokenize(text: str) -> list[Token]:
     while i < n:
         c = text[i]
         if c.isspace():
-            i += 1
+            i = _skip_space(text, i + 1).end()
             continue
         start = i
-        if _is_word_start(c):
-            i += 1
-            while i < n and _is_word_char(text[i]):
-                i += 1
+        if c.isalpha() or c == "_":
+            i = _word_tail(text, i + 1).end()
             word = text[start:i].lower()
             kind = KEYWORD if word in KEYWORDS else IDENT
             tokens.append(Token(kind, word, start))

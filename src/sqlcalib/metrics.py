@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, SingleClass
+from .errors import EmptyInput, LengthMismatch, OutOfDomain, SingleClass
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,23 @@ class MetricsReport:
         }
 
 
-def _check(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+def _check(scores, labels, probabilities: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and labels as float arrays of one shape, labels 0 or 1, scores
+    finite and, when they are ``probabilities``, inside [0, 1]."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if scores.shape != labels.shape:
         raise LengthMismatch(f"{scores.shape[0]} scores vs {labels.shape[0]} labels")
     if scores.size == 0:
         raise EmptyInput("no examples")
+    # one vectorised pass per array; NaN fails every comparison
+    ok = (scores >= 0) & (scores <= 1) if probabilities else np.isfinite(scores)
+    if not ok.all():
+        kind = "probabilities in [0, 1]" if probabilities else "finite numbers"
+        raise OutOfDomain(f"scores must be {kind}, got {float(scores[~ok][0])!r}")
+    ok = (labels == 0) | (labels == 1)
+    if not ok.all():
+        raise OutOfDomain(f"labels must be 0 or 1, got {float(labels[~ok][0])!r}")
     return scores, labels
 
 
@@ -122,8 +132,9 @@ def ace(scores, labels, k: int = 10) -> tuple[float, tuple[BinRow, ...]]:
 
 def auc(scores, labels) -> float:
     """Probability that a random positive outscores a random negative,
-    counting ties as one half (average-rank Mann-Whitney statistic)."""
-    scores, labels = _check(scores, labels)
+    counting ties as one half (average-rank Mann-Whitney statistic). Only
+    the order of the scores matters, so any finite numbers are accepted."""
+    scores, labels = _check(scores, labels, probabilities=False)
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = scores.size - n_pos

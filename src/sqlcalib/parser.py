@@ -33,6 +33,9 @@ def parse_sql(text: str) -> QueryTree:
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
+        # pos never passes the first EOF and peek looks at most one token
+        # ahead, so a second EOF keeps every peek inside the list
+        tokens.append(tokens[-1])
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
@@ -40,8 +43,7 @@ class _Parser:
     # -- cursor helpers -------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -50,7 +52,7 @@ class _Parser:
         return tok
 
     def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == KEYWORD and tok.text in words
 
     def expect_keyword(self, word: str) -> Token:

@@ -136,6 +136,7 @@ def _record_from_doc(doc: dict, lineno: int) -> CandidateRecord:
             raise SchemaError(f"line {lineno}: bad extra feature name {name!r}: empty or has '+'")
     candidates = []
     failures = 0
+    trees = {}  # SQL text -> tree, None if unparseable; pools repeat texts
     for i, c in enumerate(raw_cands):
         if not isinstance(c, dict):
             raise SchemaError(f"line {lineno}: candidate {i} must be an object")
@@ -156,12 +157,16 @@ def _record_from_doc(doc: dict, lineno: int) -> CandidateRecord:
             raise SchemaError(
                 f"line {lineno}: candidate {i} source must be one of {SOURCES}"
             )
-        cand = Candidate(sql=c["sql"], sum_log_prob=lp, source=c["source"])
-        try:
-            cand.tree = parse_sql(cand.sql)
-        except ParseError:
+        sql = c["sql"]
+        if sql not in trees:
+            try:
+                trees[sql] = parse_sql(sql)
+            except ParseError:
+                trees[sql] = None
+        tree = trees[sql]
+        if tree is None:
             failures += 1
-        candidates.append(cand)
+        candidates.append(Candidate(sql=sql, sum_log_prob=lp, source=c["source"], tree=tree))
     return CandidateRecord(
         id=str(doc["id"]),
         label=label,

@@ -1,9 +1,14 @@
 """Matching algorithms, frequency scoring and feature assembly."""
 
+import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqlcalib.clausefreq import (
     MATCH_VECTOR_LEN,
@@ -14,10 +19,13 @@ from sqlcalib.clausefreq import (
     resolve_schema,
     subquery_match,
 )
-from sqlcalib.errors import EmptyPool, SchemaMismatch
+from sqlcalib.errors import EmptyPool, ParseError, SchemaMismatch
 from sqlcalib.parser import parse_sql
+from sqlcalib.pipeline import featurize_command
 from sqlcalib.querygen import generate_query
 from sqlcalib.sqlast import CLAUSE_KINDS, decompose
+
+from corpus import CORPUS_ALL
 
 
 def q(text):
@@ -167,6 +175,62 @@ class TestClauseFrequencies:
             before = clause_frequencies(target, pool)
             after = clause_frequencies(target, pool + [target])
             assert all(b >= a for b, a in zip(after[:-1], before[:-1]))
+
+
+# A few queries, two of them set operations, so pools repeat trees often;
+# each is written as is or as a case or whitespace variant, or broken.
+BASE_QUERIES = CORPUS_ALL[:4] + CORPUS_ALL[-2:]
+VARIANTS = [str, str.upper, str.lower, lambda t: t.replace(" ", "  "), lambda t: "\n" + t + " "]
+POOL_TEXT = st.one_of(
+    st.builds(lambda t, f: f(t), st.sampled_from(BASE_QUERIES), st.sampled_from(VARIANTS)),
+    st.sampled_from(["selec broken from", "SELECT", "select a from b where"]),
+    st.builds(lambda t, cut: t[:cut], st.sampled_from(BASE_QUERIES), st.integers(0, 30)),
+)
+
+
+def _tree_or_none(text):
+    try:
+        return parse_sql(text)
+    except ParseError:
+        return None
+
+
+class TestMultiplicity:
+    """Pools are scored once per distinct tree, weighted by its count, and
+    featurize parses each distinct text once per record; both must match
+    the plain per-member computation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(BASE_QUERIES), st.lists(POOL_TEXT, min_size=1, max_size=12))
+    @example("select a from b", ["selec broken from"] * 3)
+    def test_pool_scores_and_parse_failures_match_per_member(self, query, pool_texts):
+        texts = [query] + pool_texts
+        trees = [_tree_or_none(t) for t in texts]
+        members = [t for t in trees if t is not None]
+        sums = [0] * MATCH_VECTOR_LEN
+        for member in members:
+            for i, bit in enumerate(query_match(trees[0], member)):
+                sums[i] += bit
+        means = [s / len(members) for s in sums]
+        naive = tuple(means) + (math.prod(means),)
+        assert clause_frequencies(trees[0], members) == naive
+
+        # the query is the most probable candidate, so it is the primary
+        record = {
+            "id": "r",
+            "label": 1,
+            "candidates": [
+                {"sql": t, "sum_log_prob": -0.1 if i == 0 else -1.0, "source": "nucleus"}
+                for i, t in enumerate(texts)
+            ],
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "c.jsonl", Path(tmp) / "f.jsonl"
+            path.write_text(json.dumps(record) + "\n")
+            summary = featurize_command(path, out, "mps-nucleus")
+            row = json.loads(out.read_text())
+        assert summary.candidate_parse_failures == trees.count(None)
+        assert tuple(row["values"][1:]) == naive
 
 
 class TestFeatureAssembly:

@@ -1,15 +1,22 @@
-"""Golden bytes: featurize output and canonical/clause text stay fixed.
+"""Golden bytes: featurize output, canonical/clause text, tokens and parse
+errors stay fixed.
 
-The digests pin the exact output of the parser and the feature writer;
-a refactor of either must leave them unchanged.
+The digests pin the exact output of the lexer, the parser and the feature
+writer; a refactor of any of them must leave them unchanged.
 """
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
+import pytest
+
+from sqlcalib.errors import ParseError
+from sqlcalib.lexer import tokenize
 from sqlcalib.parser import parse_sql
 from sqlcalib.pipeline import featurize_command
+from sqlcalib.querygen import generate_query
 from sqlcalib.sqlast import SelectStatement, canonicalize, extract_clauses
 
 from corpus import CORPUS_ALL
@@ -40,3 +47,96 @@ def test_canonical_and_clause_text_bytes():
         lines.append(json.dumps({"canonical": canonicalize(tree), "leaves": leaves}))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CORPUS_SHA256
+
+
+# -- lexer and parser output, token by token -----------------------------------
+
+# Characters where str predicates and regex classes could part ways:
+# superscript and Arabic-Indic digits, sharp s, dotted capital I (lowercases
+# to two characters), no-break, em, ideographic and line-separator spaces,
+# an ASCII separator control, a combining accent and fullwidth digits.
+UNICODE_CASES = [
+    "SELECT a² FROM t",
+    "SELECT ²a FROM t",
+    "SELECT a FROM t WHERE x = ²",
+    "SELECT a FROM t WHERE x = 1²",
+    "SELECT a FROM t WHERE x = ٣",
+    "SELECT a٣ FROM t WHERE x = 1.٣",
+    "SELECT straße FROM t",
+    "SELECT STRASSE, ß FROM t",
+    "SELECT İd FROM t WHERE İ = 1",
+    "SELECT\xa0a\xa0FROM\xa0t",
+    "SELECT a\xa0b FROM t",
+    "SELECT a FROM\u3000t WHERE x = 1",
+    "SELECT\u2003a FROM t\u2028WHERE x = 1",
+    "SELECT\x1ca FROM t",
+    "SELECT e\u0301 FROM t",
+    "SELECT \u0301e FROM t",
+    "SELECT a FROM t WHERE x = １２３",
+    "SELECT a１ FROM t WHERE x = 1e１",
+    "SELECT a FROM t WHERE x = .５ + ５.",
+    "SELECT a FROM t WHERE x = '²\xa0ß'",
+    "SELECT `İ\xa0x` FROM t",
+    "SELECT a FROM t WHERE x = 1e+² OR y = 2E-٣",
+    "SELECT _x, x_², __ FROM t_\u3000",
+]
+
+
+def _corrupted_queries(n: int = 1500, seed: int = 11) -> list[str]:
+    """Generated queries, two in three broken by a cut, an inserted character,
+    a dropped word or an inserted keyword."""
+    rng = random.Random(seed)
+    inserts = "()'\"`.,;*=<>!|-+@#$²٣ß\xa0１_"
+    keywords = ["select", "from", "where", "not", "union", "in", "between", "is", "on"]
+    out = []
+    for i in range(n):
+        text = generate_query(rng)
+        kind = i % 6
+        if kind == 1:
+            text = text[: rng.randint(0, len(text))]
+        elif kind == 2:
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(inserts) + text[at:]
+        elif kind == 3:
+            words = text.split(" ")
+            del words[rng.randrange(len(words))]
+            text = " ".join(words)
+        elif kind == 4:
+            words = text.split(" ")
+            words.insert(rng.randint(0, len(words)), rng.choice(keywords).upper())
+            text = " ".join(words)
+        out.append(text)
+    return out
+
+
+def _lex_parse_lines(texts) -> str:
+    """One JSON line per text: its tokens (kind, text, offset) or the lexer's
+    ParseError, then its canonical text or the parser's ParseError."""
+    lines = []
+    for text in texts:
+        try:
+            lexed = [[t.kind, t.text, t.offset] for t in tokenize(text)]
+        except ParseError as exc:
+            lexed = {"error": str(exc), "offset": exc.offset}
+        try:
+            parsed = canonicalize(parse_sql(text))
+        except ParseError as exc:
+            parsed = {"error": str(exc), "offset": exc.offset}
+        lines.append(json.dumps([lexed, parsed]))
+    return "\n".join(lines)
+
+
+LEX_PARSE_SHA256 = {
+    "corpus": "04f4a405ff06dbc388f430923225fcfdfe110dcac8d870d4531d270cdddf13fc",
+    "corrupted": "ceb5d8740db9580c4be510f711a72b928addde76f75dd549231a377c27b4368f",
+    "unicode": "5e37397c09acd986071a50a6aec257b10f4595fa2f4565bd73235f46e23beb82",
+}
+
+
+@pytest.mark.parametrize(
+    "name, texts",
+    [("corpus", CORPUS_ALL), ("corrupted", _corrupted_queries()), ("unicode", UNICODE_CASES)],
+)
+def test_tokens_and_parse_errors_bytes(name, texts):
+    digest = hashlib.sha256(_lex_parse_lines(texts).encode()).hexdigest()
+    assert digest == LEX_PARSE_SHA256[name]

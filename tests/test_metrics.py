@@ -1,9 +1,15 @@
 """Metric values against hand arithmetic and brute-force oracles."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sqlcalib.errors import EmptyInput, LengthMismatch, SingleClass
+from sqlcalib.cli import main
+from sqlcalib.errors import EmptyInput, LengthMismatch, OutOfDomain, SingleClass
 from sqlcalib.metrics import (
     ace,
     auc,
@@ -360,3 +366,70 @@ class TestCompareShift:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             compare_shift([0.1, 0.2], [0.3], [1, 0])
+
+
+# -- inputs no metric can score ---------------------------------------------------------------
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+OUTSIDE_UNIT = st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: not 0 <= v <= 1)
+BAD_LABEL = st.floats(allow_nan=True, allow_infinity=True).filter(lambda v: v not in (0, 1))
+PROBABILITY_METRICS = {
+    "brier": brier,
+    "ece": ece,
+    "ace": ace,
+    "compute_report": compute_report,
+    "reliability_equal_width": lambda s, y: reliability_curve(s, y, "equal-width"),
+    "reliability_equal_mass": lambda s, y: reliability_curve(s, y, "equal-mass"),
+    "compare_shift_a": lambda s, y: compare_shift(s, np.full(len(s), 0.5), y),
+    "compare_shift_b": lambda s, y: compare_shift(np.full(len(s), 0.5), s, y),
+}
+
+
+class TestDomain:
+    @pytest.mark.parametrize(
+        "metric, scores, labels",
+        [
+            (ece, [-0.5, 0.2, 0.9], [0, 0, 1]),
+            (ece, [0.2, math.nan], [0, 1]),
+            (brier, [1.7], [1]),
+            (brier, [0.5], [3]),
+        ],
+    )
+    def test_reported_cases_raise(self, metric, scores, labels):
+        with pytest.raises(OutOfDomain):
+            metric(scores, labels)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_metric_raises_on_a_bad_score_or_label(self, data):
+        n = data.draw(st.integers(1, 12))
+        scores = data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
+        labels = data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+        i = data.draw(st.integers(0, n - 1))
+        if data.draw(st.booleans()):
+            labels[i] = data.draw(BAD_LABEL)
+        else:
+            scores[i] = data.draw(NON_FINITE | OUTSIDE_UNIT)
+        for metric in PROBABILITY_METRICS.values():
+            with pytest.raises(OutOfDomain):
+                metric(scores, labels)
+        # AUC ranks scores, so only a bad label or a non-finite score is out of its domain
+        if labels[i] not in (0, 1) or not math.isfinite(scores[i]):
+            with pytest.raises(OutOfDomain):
+                auc(scores, labels)
+
+    def test_nan_model_scores_are_a_data_error(self, tmp_path, capsys):
+        rows = [
+            {"id": f"r{i}", "label": i % 2, "schema_id": "ps", "values": [i / 4 - 1], "raw_prob": 0.5}
+            for i in range(8)
+        ]
+        features = tmp_path / "f.jsonl"
+        features.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        model = tmp_path / "m.json"
+        assert main(["fit", "--input", str(features), "--output", str(model), "--method", "ps"]) == 0
+        doc = json.loads(model.read_text())
+        doc["intercept"] = math.nan
+        model.write_text(json.dumps(doc))
+        argv = ["evaluate", "--input", str(features), "--model", str(model), "--output", str(tmp_path)]
+        assert main(argv) == 2
+        assert "scores must be probabilities in [0, 1], got nan" in capsys.readouterr().err

@@ -375,6 +375,22 @@ class TestInputValues:
         assert main(["fit", "--input", str(out), "--output", str(model), "--method", "mps"]) == 0
         assert calibrate.load_model(model).feature_names == ("logit_prob", "p_true")
 
+    def test_extra_named_like_a_standard_feature_is_a_data_error(self, tmp_path, capsys):
+        # a perfectly predictive extra that fit would have read as logit_prob
+        records = [
+            make_record(id=f"r{i}", label=i % 2, extra_features={"logit_prob": i % 2})
+            for i in range(8)
+        ]
+        rc, _, out = _featurize_summary(tmp_path, records)
+        assert rc == 2 and not out.exists()
+        assert "repeats feature names ['logit_prob']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schema_id", ["ps+logit_prob", "ps+a+a", "mps-nucleus+nucleus.agg"])
+    def test_feature_file_with_repeated_names_is_a_data_error(self, tmp_path, capsys, schema_id):
+        write_jsonl(tmp_path / "f.jsonl", [{**self.FEATURE_ROW, "schema_id": schema_id}])
+        assert main(["fit", "--input", str(tmp_path / "f.jsonl"), "--output", str(tmp_path / "m")]) == 2
+        assert "repeats feature names" in capsys.readouterr().err
+
     def test_evaluate_rejects_out_of_range_raw_prob(self, tmp_path):
         rows = [{**self.FEATURE_ROW, "id": f"r{i}", "label": i % 2} for i in range(3)]
         rows[1]["raw_prob"] = 1.7
