@@ -1,20 +1,31 @@
-"""Post-hoc probability calibration via ridge-penalized logistic regression.
+"""Probabilities and the calibrators fitted on them.
 
-Two entry points share one fitter: ``platt_fit`` maps a single raw
-probability through sigmoid(w0 + w1 * logit(p)); ``mps_fit`` does the
-same over an arbitrary feature vector. Weights are learned on a held-out
-calibration split, never on the split being evaluated.
+Platt scaling (PS) and multivariate Platt scaling (MPS) are one fit:
+``fit_logistic`` learns sigmoid(w0 + w . x) under a ridge penalty, and PS
+is that fit on the ``logit_prob`` column alone, the logit of the model's
+own probability. Weights are learned on a held-out calibration split,
+never on the split being evaluated.
+
+The module owns the toolkit's one clipping policy: every probability it
+derives or returns lies in [PROB_EPS, 1 - PROB_EPS], and every logit it
+derives is the logit of such a probability.
 """
 
 import json
+import math
+import sys
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
-from .clausefreq import PROB_EPS, FeatureVector, resolve_schema
-from .errors import NonFinite, SchemaMismatch, SingleClass
+from .errors import NonFinite, SchemaError, SchemaMismatch, SingleClass
+
+PROB_EPS = 1e-12
+_LOG_EPS = math.log(PROB_EPS)
+_LOG_ONE_MINUS_EPS = math.log1p(-PROB_EPS)
+_LOGIT_MAX = math.log((1.0 - PROB_EPS) / PROB_EPS)
 
 # Convergence bound on the penalized gradient's infinity norm. Tightening
 # it further is futile on large fits: the objective's float resolution
@@ -54,6 +65,14 @@ class CalibratorModel:
         }
 
 
+def finite_float(value) -> float | None:
+    """``value`` as a finite float; None for bools, non-numbers, NaN and infinities."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    # exact comparison: NaN and ints past the float range fail without converting
+    return float(value) if -sys.float_info.max <= value <= sys.float_info.max else None
+
+
 def sigmoid(z):
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
@@ -69,18 +88,35 @@ def logit(p):
     return np.log(p / (1.0 - p))
 
 
-def fit_logistic(
-    data: LabeledFeatures,
-    penalty: float = 1.0,
-    *,
-    fix_intercept_at_zero: bool = False,
-) -> CalibratorModel:
+def logit_of_log_prob(sum_log_prob: float) -> float:
+    """Sequence log-probability -> logit of the clipped probability.
+
+    Working in log space (expm1 for 1 - p) avoids the cancellation a
+    naive exp-then-logit would hit near probability 1.
+    """
+    if sum_log_prob <= _LOG_EPS:
+        return -_LOGIT_MAX
+    if sum_log_prob >= _LOG_ONE_MINUS_EPS:
+        return _LOGIT_MAX
+    return sum_log_prob - math.log(-math.expm1(sum_log_prob))
+
+
+def prob_of_log_prob(sum_log_prob: float) -> float:
+    """Sequence log-probability -> the clipped probability."""
+    p = math.exp(min(sum_log_prob, 0.0))
+    return min(max(p, PROB_EPS), 1.0 - PROB_EPS)
+
+
+def fit_logistic(data: LabeledFeatures, penalty: float = 1.0) -> CalibratorModel:
     """Minimize the logistic loss plus (1 / (2*penalty)) * ||w||^2.
 
-    The intercept is never penalized. Damped Newton iterations from zero
-    initialization run until the penalized gradient's infinity norm drops
-    below tolerance, so refits on identical inputs are bit-identical.
+    The intercept is never penalized; ``penalty`` must be a finite number
+    > 0. Damped Newton iterations from zero initialization run until the
+    penalized gradient's infinity norm drops below tolerance, so refits on
+    identical inputs are bit-identical.
     """
+    if not 0 < penalty < math.inf:  # NaN fails too
+        raise ValueError(f"penalty must be a finite number > 0, got {penalty!r}")
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=float)
     n, m = X.shape
@@ -99,11 +135,8 @@ def fit_logistic(
     Xd = np.concatenate([np.ones((n, 1)), X], axis=1)
     reg = np.full(m + 1, alpha)
     reg[0] = 0.0
-    if fix_intercept_at_zero:
-        Xd = Xd[:, 1:]
-        reg = reg[1:]
 
-    w = np.zeros(Xd.shape[1])
+    w = np.zeros(m + 1)
 
     def objective(wv):
         z = Xd @ wv
@@ -131,10 +164,7 @@ def fit_logistic(
     else:
         warnings.warn("logistic fit hit the iteration cap before converging", stacklevel=2)
 
-    if fix_intercept_at_zero:
-        intercept, coef = 0.0, w
-    else:
-        intercept, coef = float(w[0]), w[1:]
+    intercept, coef = float(w[0]), w[1:]
     if tuple(data.feature_names) == ("logit_prob",) and coef[0] <= 0:
         warnings.warn(
             "fitted slope is not positive; calibrated scores will not preserve ranking",
@@ -154,33 +184,6 @@ def fit_logistic(
     )
 
 
-def platt_fit(
-    scores: Sequence[float],
-    labels: Sequence[int],
-    penalty: float = 1.0,
-    *,
-    temperature_only: bool = False,
-) -> CalibratorModel:
-    """Fit sigmoid(w0 + w1 * logit(score)) on raw probabilities.
-
-    ``temperature_only`` pins w0 = 0, leaving a single inverse-temperature
-    weight; like every fit on ``logit_prob`` alone, a non-positive slope
-    warns (ranking metrics are only preserved under a positive slope).
-    """
-    data = LabeledFeatures(
-        X=logit(scores)[:, None],
-        y=np.asarray(labels, dtype=float),
-        schema_id="ps",
-        feature_names=("logit_prob",),
-    )
-    return fit_logistic(data, penalty, fix_intercept_at_zero=temperature_only)
-
-
-def mps_fit(data: LabeledFeatures, penalty: float = 1.0) -> CalibratorModel:
-    """Fit the multivariate map sigmoid(w0 + w . x) on a calibration split."""
-    return fit_logistic(data, penalty)
-
-
 def apply_model(model: CalibratorModel, X) -> np.ndarray:
     """Calibrated probabilities for rows of ``X``, strictly inside (0, 1).
 
@@ -196,35 +199,7 @@ def apply_model(model: CalibratorModel, X) -> np.ndarray:
     return np.clip(raw, PROB_EPS, 1.0 - PROB_EPS)
 
 
-def select_columns(model: CalibratorModel, X, schema_id: str) -> np.ndarray:
-    """Pick the columns the model consumes out of a full feature matrix.
-
-    The matrix must come from the schema the model was fit against; the
-    model may use a subset of its columns (a masked fit).
-    """
-    if schema_id != model.schema_id:
-        raise SchemaMismatch(
-            f"model was fit on schema {model.schema_id!r}, features are {schema_id!r}"
-        )
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    names = resolve_schema(schema_id).feature_names()
-    if tuple(model.feature_names) == names:
-        return X
-    try:
-        idx = [names.index(n) for n in model.feature_names]
-    except ValueError as exc:
-        raise SchemaMismatch(f"schema {schema_id!r} lacks feature {exc}") from exc
-    return X[:, idx]
-
-
-def apply_features(model: CalibratorModel, features: FeatureVector) -> float:
-    """Calibrated probability for a single assembled feature vector."""
-    row = select_columns(model, np.asarray(features.values)[None, :], features.schema_id)
-    return float(apply_model(model, row)[0])
-
-
 # -- persistence ---------------------------------------------------------
-
 
 def model_to_dict(model: CalibratorModel) -> dict:
     from . import __version__
@@ -241,15 +216,51 @@ def model_to_dict(model: CalibratorModel) -> dict:
     }
 
 
-def model_from_dict(doc: dict) -> CalibratorModel:
+def _model_number(value, key: str) -> float:
+    number = finite_float(value)
+    if number is None:
+        raise SchemaError(f"model {key} must hold finite numbers, got {value!r}")
+    return number
+
+
+def _model_numbers(doc: dict, key: str, length: int) -> tuple[float, ...]:
+    values = doc[key]
+    if not isinstance(values, list) or len(values) != length:
+        raise SchemaError(f"model {key} must be a list of {length} numbers, one per feature")
+    return tuple(_model_number(v, key) for v in values)
+
+
+def model_from_dict(doc) -> CalibratorModel:
+    """The model a JSON document describes. Anything but an object holding
+    every model field, each well formed, is a SchemaError."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"model must be a JSON object, got {type(doc).__name__}")
+    missing = [f.name for f in fields(CalibratorModel) if f.name not in doc]
+    if missing:
+        raise SchemaError(f"model lacks fields {missing}")
+    if type(doc["schema_id"]) is not str:
+        raise SchemaError(f"model schema_id must be a string, got {doc['schema_id']!r}")
+    names = doc["feature_names"]
+    if not isinstance(names, list) or any(type(n) is not str for n in names):
+        raise SchemaError(f"model feature_names must be a list of strings, got {names!r}")
+    if len(set(names)) != len(names):
+        raise SchemaError(f"model feature_names repeat a name: {names!r}")
+    penalty = _model_number(doc["penalty"], "penalty")
+    if penalty <= 0:
+        raise SchemaError(f"model penalty must be > 0, got {penalty!r}")
+    n = len(names)
+    means, scales = (
+        None if doc[key] is None else _model_numbers(doc, key, n)
+        for key in ("feature_means", "feature_scales")
+    )
     return CalibratorModel(
         schema_id=doc["schema_id"],
-        feature_names=tuple(doc["feature_names"]),
-        intercept=float(doc["intercept"]),
-        weights=tuple(float(v) for v in doc["weights"]),
-        penalty=float(doc["penalty"]),
-        feature_means=tuple(doc["feature_means"]) if doc.get("feature_means") else None,
-        feature_scales=tuple(doc["feature_scales"]) if doc.get("feature_scales") else None,
+        feature_names=tuple(names),
+        intercept=_model_number(doc["intercept"], "intercept"),
+        weights=_model_numbers(doc, "weights", n),
+        penalty=penalty,
+        feature_means=means,
+        feature_scales=scales,
     )
 
 
@@ -260,5 +271,9 @@ def save_model(model: CalibratorModel, path) -> None:
 
 
 def load_model(path) -> CalibratorModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    with open(path, "rb") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
+            raise SchemaError(f"model file is not JSON: {exc}") from exc
+    return model_from_dict(doc)

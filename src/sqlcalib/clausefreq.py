@@ -8,14 +8,12 @@ own (logit) probability is prepended when assembling feature vectors.
 """
 
 import math
-import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .calibrate import finite_float, logit_of_log_prob
 from .errors import EmptyPool, SchemaError, SchemaMismatch
 from .sqlast import CLAUSE_KINDS, QueryTree, SelectStatement, decompose
-
-PROB_EPS = 1e-12
 
 MATCH_VECTOR_LEN = 19  # 1 set-op + 9 clauses per root subquery
 SCF_VECTOR_LEN = 20  # 19 frequencies + their product
@@ -144,46 +142,14 @@ def resolve_schema(schema_id: str, extras: tuple[str, ...] = ()) -> FeatureSchem
     return schema
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    schema_id: str
-    values: tuple[float, ...] = field(default=())
-
-
-_LOG_EPS = math.log(PROB_EPS)
-_LOG_ONE_MINUS_EPS = math.log1p(-PROB_EPS)
-_LOGIT_MAX = math.log((1.0 - PROB_EPS) / PROB_EPS)
-
-
-def finite_float(value) -> float | None:
-    """``value`` as a finite float; None for bools, non-numbers, NaN and infinities."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    # exact comparison: NaN and ints past the float range fail without converting
-    return float(value) if -sys.float_info.max <= value <= sys.float_info.max else None
-
-
-def logit_of_log_prob(sum_log_prob: float) -> float:
-    """Sequence log-probability -> logit of the clipped probability.
-
-    Working in log space (expm1 for 1 - p) avoids the cancellation a
-    naive exp-then-logit would hit near probability 1.
-    """
-    if sum_log_prob <= _LOG_EPS:
-        return -_LOGIT_MAX
-    if sum_log_prob >= _LOG_ONE_MINUS_EPS:
-        return _LOGIT_MAX
-    return sum_log_prob - math.log(-math.expm1(sum_log_prob))
-
-
 def assemble_features(
     candidate: QueryTree,
     sum_log_prob: float,
     pools: dict,
     schema: FeatureSchema,
     extras: dict | None = None,
-) -> FeatureVector:
-    """Build one feature vector for ``candidate`` under ``schema``.
+) -> tuple[float, ...]:
+    """The feature values of ``candidate`` under ``schema``, in its layout.
 
     ``pools`` maps source name to the list of parsed samples for that
     source; every source the schema declares must be present and
@@ -203,4 +169,4 @@ def assemble_features(
         if value is None:
             raise SchemaMismatch(f"extra feature {name!r} must be a finite number")
         values.append(value)
-    return FeatureVector(schema.schema_id, tuple(values))
+    return tuple(values)

@@ -43,6 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON file with defaults for any flag")
+        p.set_defaults(_flags={action.dest: action for action in p._actions})
 
     p = sub.add_parser("parse", help="print the decomposition of one query as JSON")
     p.add_argument("sql", help="SQL text to parse")
@@ -104,8 +105,22 @@ def _resolve(args: argparse.Namespace, key: str):
         return value
     config = getattr(args, "_config", {})
     if key in config:
-        return config[key]
+        return _config_entry(args._flags[key], key, config[key])
     return DEFAULTS.get(key)
+
+
+def _config_entry(flag: argparse.Action, key: str, value):
+    """A config entry checked like the flag it stands for: it is the flag's
+    text, a JSON string or number, run through the flag's type and choices."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise UsageError(f"config entry {key!r} must be a string or a number, got {value!r}")
+    try:
+        value = flag.type(str(value)) if flag.type else str(value)
+    except ValueError:
+        raise UsageError(f"config entry {key!r}: invalid {flag.type.__name__} {value!r}") from None
+    if flag.choices is not None and value not in flag.choices:
+        raise UsageError(f"config entry {key!r}: {value!r} is not one of {list(flag.choices)}")
+    return value
 
 
 def _tree_json(tree):
@@ -144,11 +159,11 @@ def run(args: argparse.Namespace) -> int:
             args.input,
             _resolve(args, "method"),
             args.output,
-            penalty=float(_resolve(args, "penalty")),
+            penalty=_resolve(args, "penalty"),
             mask=_resolve(args, "mask"),
             subsample_fraction=_resolve(args, "subsample_fraction"),
             subsample_count=_resolve(args, "subsample_count"),
-            seed=int(_resolve(args, "seed")),
+            seed=_resolve(args, "seed"),
         )
         print(pipeline.standardized_weight_table(model))
         print(f"model written with {len(model.weights)} weights (+ intercept)")
@@ -164,7 +179,7 @@ def run(args: argparse.Namespace) -> int:
             args.input,
             args.model,
             args.output,
-            bins=int(_resolve(args, "bins")),
+            bins=_resolve(args, "bins"),
             group_by=_resolve(args, "group_by"),
         )
         overall = reports["overall"]
@@ -193,9 +208,9 @@ def run(args: argparse.Namespace) -> int:
 
     if cmd == "synth":
         sidecar = pipeline.synth_command(
-            int(_resolve(args, "n")),
+            _resolve(args, "n"),
             _resolve(args, "mode"),
-            int(_resolve(args, "seed")),
+            _resolve(args, "seed"),
             args.output,
         )
         print(json.dumps(sidecar))
@@ -204,11 +219,8 @@ def run(args: argparse.Namespace) -> int:
     raise UsageError(f"unknown command {cmd!r}")
 
 
-def _parse_fractions(raw) -> tuple:
-    if isinstance(raw, (list, tuple)):
-        values = [float(v) for v in raw]
-    else:
-        values = [float(v) for v in str(raw).split(",") if v.strip()]
+def _parse_fractions(raw: str) -> tuple:
+    values = [float(v) for v in raw.split(",") if v.strip()]
     if not values or any(not 0 < f <= 0.5 for f in values):
         raise UsageError(f"fractions must lie in (0, 0.5]; got {raw!r}")
     return tuple(values)
@@ -217,9 +229,11 @@ def _parse_fractions(raw) -> tuple:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "config", None):
+        if args.config:
             with open(args.config, encoding="utf-8") as fh:
                 args._config = json.load(fh)
+            if not isinstance(args._config, dict):
+                raise UsageError(f"config {args.config} must be a JSON object")
         return run(args)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -148,15 +148,11 @@ def auc(scores, labels) -> float:
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of their rank range."""
     order = np.argsort(values, kind="stable")
+    # a run of ties at sorted positions start .. start + count - 1 shares
+    # the rank start + (count + 1) / 2, exact as a whole or half number
+    _, start, count = np.unique(values[order], return_index=True, return_counts=True)
     ranks = np.empty(values.size, dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(start + (count + 1) / 2.0, count)
     return ranks
 
 

@@ -6,7 +6,6 @@ in a sidecar summary so that input lines are always fully accounted for.
 """
 
 import json
-import math
 import os
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -17,13 +16,8 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import calibrate, metrics
-from .clausefreq import (
-    PROB_EPS,
-    FeatureSchema,
-    assemble_features,
-    finite_float,
-    resolve_schema,
-)
+from .calibrate import finite_float, prob_of_log_prob
+from .clausefreq import FeatureSchema, assemble_features, resolve_schema
 from .errors import (
     EmptyPool,
     IdMismatch,
@@ -209,11 +203,6 @@ class RunSummary:
     failures: list = field(default_factory=list)
 
 
-def _clipped_prob(sum_log_prob: float) -> float:
-    p = math.exp(min(sum_log_prob, 0.0))
-    return min(max(p, PROB_EPS), 1.0 - PROB_EPS)
-
-
 def featurize_records(
     records: Iterable[CandidateRecord],
     schema_id: str,
@@ -249,7 +238,7 @@ def featurize_records(
                 for src in SOURCES
                 if any(c.source == src for c in record.candidates)
             }
-            fv = assemble_features(
+            values = assemble_features(
                 primary.tree, primary.sum_log_prob, pools, schema, record.extra_features
             )
         except (NoUsableCandidate, EmptyPool, SchemaMismatch) as exc:
@@ -261,9 +250,9 @@ def featurize_records(
             "id": record.id,
             "label": record.label,
             "group": record.group,
-            "schema_id": fv.schema_id,
-            "values": list(fv.values),
-            "raw_prob": _clipped_prob(primary.sum_log_prob),
+            "schema_id": schema.schema_id,
+            "values": list(values),
+            "raw_prob": prob_of_log_prob(primary.sum_log_prob),
         }
 
 
@@ -289,6 +278,15 @@ class FeatureFile:
     groups: tuple
     schema_id: str
     feature_names: tuple[str, ...]
+
+    def columns(self, names) -> np.ndarray:
+        """A copy of the columns called ``names``, in that order, even when
+        they are all of them: a fit's float sums, and so the model bytes,
+        follow this layout. A name the schema lacks is a SchemaMismatch."""
+        missing = [n for n in names if n not in self.feature_names]
+        if missing:
+            raise SchemaMismatch(f"schema {self.schema_id!r} lacks features {missing}")
+        return self.X[:, [self.feature_names.index(n) for n in names]]
 
 
 def load_features(path) -> FeatureFile:
@@ -391,16 +389,14 @@ def fit_command(
         raise ValueError("give --subsample-fraction or --subsample-count, not both")
 
     ff = load_features(features_path)
-    names = ff.feature_names
     if method == "ps":
         selected = ("logit_prob",)
     elif mask is not None:
-        selected = parse_mask(mask, names)
+        selected = parse_mask(mask, ff.feature_names)
     else:
-        selected = names
-    idx = [names.index(n) for n in selected]
+        selected = ff.feature_names
 
-    X, y = ff.X[:, idx], ff.y
+    X, y = ff.columns(selected), ff.y
     if subsample_fraction is not None or subsample_count is not None:
         n = len(y)
         k = subsample_count if subsample_count is not None else max(1, int(subsample_fraction * n))
@@ -429,8 +425,13 @@ def standardized_weight_table(model: calibrate.CalibratorModel) -> str:
 def _scores_for(ff: FeatureFile, model: Optional[calibrate.CalibratorModel]) -> np.ndarray:
     if model is None:
         return ff.raw_prob
-    X = calibrate.select_columns(model, ff.X, ff.schema_id)
-    return calibrate.apply_model(model, X)
+    if model.schema_id != ff.schema_id:
+        raise SchemaMismatch(
+            f"model was fit on schema {model.schema_id!r}, features are {ff.schema_id!r}"
+        )
+    # a copy, unlike X itself, changes the float summation order and so the bytes
+    same = model.feature_names == ff.feature_names
+    return calibrate.apply_model(model, ff.X if same else ff.columns(model.feature_names))
 
 
 def scored_rows(ff: FeatureFile, scores: np.ndarray) -> list[dict]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sqlcalib import calibrate, metrics, pipeline
-from sqlcalib.calibrate import LabeledFeatures, apply_model, mps_fit, platt_fit
+from sqlcalib.calibrate import LabeledFeatures, apply_model, fit_logistic
 from sqlcalib.clausefreq import clause_frequencies, query_match, subquery_match
 from sqlcalib.parser import parse_sql
 from sqlcalib.querygen import generate_query
@@ -24,6 +24,16 @@ from test_clausefreq import oracle_pairing
 from test_metrics import ace_oracle, auc_oracle, ece_oracle
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_candidates.jsonl"
+
+
+def fit_on(ff, rows, columns=slice(None)):
+    """The fit of ``fit`` on some rows and columns of a feature file; the
+    first column alone, ``logit_prob``, is what ``fit --method ps`` fits."""
+    data = LabeledFeatures(
+        X=ff.X[rows, columns], y=ff.y[rows],
+        schema_id=ff.schema_id, feature_names=ff.feature_names[columns],
+    )
+    return fit_logistic(data)
 
 
 def criterion(number, label):
@@ -70,7 +80,7 @@ def test_platt_recovery(tmp_path):
     out = tmp_path / "platt.jsonl"
     sidecar = pipeline.synth_command(50_000, "platt", seed=2024, output_path=out)
     ff = pipeline.load_features(out)
-    model = platt_fit(ff.raw_prob, ff.y)
+    model = fit_on(ff, slice(None), slice(0, 1))
     assert abs(model.intercept - sidecar["w0"]) <= 0.05
     assert abs(model.weights[0] - sidecar["w1"]) <= 0.05
 
@@ -96,16 +106,8 @@ def test_mps_dominates_ps_with_signal(tmp_path):
         ff = pipeline.load_features(out)
         cal, test = slice(0, 20_000), slice(20_000, 40_000)
 
-        ps_data = LabeledFeatures(
-            X=ff.X[cal, :1], y=ff.y[cal],
-            schema_id=ff.schema_id, feature_names=ff.feature_names[:1],
-        )
-        mps_data = LabeledFeatures(
-            X=ff.X[cal], y=ff.y[cal],
-            schema_id=ff.schema_id, feature_names=ff.feature_names,
-        )
-        ps_scores = apply_model(mps_fit(ps_data), ff.X[test, :1])
-        mps_scores = apply_model(mps_fit(mps_data), ff.X[test])
+        ps_scores = apply_model(fit_on(ff, cal, slice(0, 1)), ff.X[test, :1])
+        mps_scores = apply_model(fit_on(ff, cal), ff.X[test])
         y_test = ff.y[test]
         mps_wins_brier += metrics.brier(mps_scores, y_test) < metrics.brier(ps_scores, y_test)
         mps_wins_auc += metrics.auc(mps_scores, y_test) > metrics.auc(ps_scores, y_test)
@@ -119,9 +121,9 @@ def test_auc_rank_invariance(tmp_path):
     pipeline.synth_command(20_000, "platt", seed=99, output_path=out)
     ff = pipeline.load_features(out)
     cal, test = slice(0, 10_000), slice(10_000, 20_000)
-    model = platt_fit(ff.raw_prob[cal], ff.y[cal])
+    model = fit_on(ff, cal, slice(0, 1))
     assert model.weights[0] > 0
-    calibrated = apply_model(model, calibrate.logit(ff.raw_prob[test])[:, None])
+    calibrated = apply_model(model, ff.X[test, :1])
     before = metrics.auc(ff.raw_prob[test], ff.y[test])
     after = metrics.auc(calibrated, ff.y[test])
     assert abs(before - after) <= 1e-12

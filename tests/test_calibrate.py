@@ -6,21 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from sqlcalib import calibrate
+from sqlcalib import pipeline
 from sqlcalib.calibrate import (
     CalibratorModel,
     LabeledFeatures,
-    apply_features,
     apply_model,
     fit_logistic,
     load_model,
     logit,
-    mps_fit,
-    platt_fit,
     save_model,
     sigmoid,
 )
-from sqlcalib.clausefreq import FeatureVector
 from sqlcalib.errors import NonFinite, SchemaMismatch, SingleClass
 
 
@@ -35,6 +31,11 @@ def make_data(X, y, names=None):
         schema_id="test",
         feature_names=names,
     )
+
+
+def platt_data(scores, labels):
+    """Platt scaling's input: the logit of each score as the one feature."""
+    return LabeledFeatures(X=logit(scores)[:, None], y=np.asarray(labels, dtype=float))
 
 
 def penalized_objective(Xd, y, w, reg):
@@ -134,6 +135,11 @@ class TestFitLogistic:
         with pytest.raises(NonFinite):
             fit_logistic(make_data([[np.inf], [0.2]], [0, 1]))
 
+    @pytest.mark.parametrize("penalty", [0.0, -1.0, float("nan"), float("inf")])
+    def test_penalty_must_be_finite_and_positive(self, penalty):
+        with pytest.raises(ValueError, match="penalty"):
+            fit_logistic(make_data([[0.1], [0.2]], [0, 1]), penalty)
+
     def test_underdetermined_fit_warns(self):
         X = np.eye(3)
         with pytest.warns(UserWarning, match="unstable"):
@@ -169,7 +175,7 @@ class TestPlattFit:
         s = rng.uniform(size=n)
         q = sigmoid(0.5 + 2.0 * logit(s))
         y = (rng.uniform(size=n) < q).astype(float)
-        model = platt_fit(s, y)
+        model = fit_logistic(platt_data(s, y))
         assert model.intercept == pytest.approx(0.5, abs=0.05)
         assert model.weights[0] == pytest.approx(2.0, abs=0.05)
 
@@ -177,41 +183,16 @@ class TestPlattFit:
         y = np.array([1] * 30 + [0] * 70, dtype=float)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # zero slope on a constant feature
-            model = platt_fit(np.full(100, 0.5), y)
+            model = fit_logistic(platt_data(np.full(100, 0.5), y))
         pred = apply_model(model, logit(np.full(100, 0.5))[:, None])
         assert pred == pytest.approx(np.full(100, 0.3), abs=1e-3)
-
-    def test_temperature_only_pins_intercept(self):
-        rng = np.random.default_rng(5)
-        s = rng.uniform(size=2000)
-        y = (rng.uniform(size=2000) < s).astype(float)
-        model = platt_fit(s, y, temperature_only=True)
-        assert model.intercept == 0.0
-        assert len(model.weights) == 1
 
     def test_negative_slope_warns(self):
         # scores anti-correlated with labels
         s = np.array([0.9, 0.8, 0.1, 0.2])
         y = np.array([0, 0, 1, 1], dtype=float)
         with pytest.warns(UserWarning, match="slope"):
-            platt_fit(s, y)
-
-    def test_bitwise_equal_to_multivariate_fit_on_logit_feature(self):
-        rng = np.random.default_rng(31)
-        s = rng.uniform(size=400)
-        y = (rng.uniform(size=400) < s).astype(float)
-        via_platt = platt_fit(s, y)
-        data = LabeledFeatures(
-            X=logit(s)[:, None],
-            y=y,
-            schema_id="ps",
-            feature_names=("logit_prob",),
-        )
-        via_mps = mps_fit(data)
-        assert via_platt.intercept == via_mps.intercept
-        assert via_platt.weights == via_mps.weights
-        assert via_platt.feature_means == via_mps.feature_means
-        assert via_platt.feature_scales == via_mps.feature_scales
+            fit_logistic(platt_data(s, y))
 
 
 class TestMpsFit:
@@ -220,7 +201,7 @@ class TestMpsFit:
         X = rng.uniform(size=(300, 3))
         X[:, 1] = 0.42
         y = (rng.uniform(size=300) < sigmoid(3 * X[:, 0] - 1.5)).astype(float)
-        model = mps_fit(make_data(X, y, names=("a", "const", "c")))
+        model = fit_logistic(make_data(X, y, names=("a", "const", "c")))
         assert model.standardized_weights()["const"] == 0.0
 
     def test_informative_feature_dominates_standardized_weights(self):
@@ -230,7 +211,7 @@ class TestMpsFit:
             y = (rng.uniform(size=2000) < sigmoid(6 * X[:, 2] - 3)).astype(float)
             if y.min() == y.max():
                 continue
-            model = mps_fit(make_data(X, y, names=("a", "b", "signal", "d")))
+            model = fit_logistic(make_data(X, y, names=("a", "b", "signal", "d")))
             std = {k: abs(v) for k, v in model.standardized_weights().items()}
             assert std["signal"] == max(std.values()), f"seed {seed}"
 
@@ -257,15 +238,22 @@ class TestApply:
             pa, pb = apply_model(model, np.array([[a], [b]]))
             assert pa < pb
 
-    def test_schema_mismatch_detected(self):
+    def apply_to_one_row(self, tmp_path, model, schema_id, values):
+        features, model_path = tmp_path / "f.jsonl", tmp_path / "m.json"
+        row = {"id": "r", "label": 1, "schema_id": schema_id, "values": values, "raw_prob": 0.5}
+        features.write_text(json.dumps(row) + "\n")
+        save_model(model, model_path)
+        pipeline.apply_command(features, model_path, tmp_path / "scored.jsonl")
+        return json.loads((tmp_path / "scored.jsonl").read_text())["calibrated_prob"]
+
+    def test_schema_mismatch_detected(self, tmp_path):
         model = CalibratorModel("ps", ("logit_prob",), 0.0, (1.0,), 1.0)
         with pytest.raises(SchemaMismatch):
-            apply_features(model, FeatureVector("mps-nb", (0.5,) * 41))
+            self.apply_to_one_row(tmp_path, model, "mps-nb", [0.5] * 41)
 
-    def test_masked_model_selects_named_columns(self):
+    def test_masked_model_selects_named_columns(self, tmp_path):
         model = CalibratorModel("mps-nucleus", ("nucleus.agg",), 0.0, (1.0,), 1.0)
-        values = tuple(float(i) for i in range(21))
-        out = apply_features(model, FeatureVector("mps-nucleus", values))
+        out = self.apply_to_one_row(tmp_path, model, "mps-nucleus", [float(i) for i in range(21)])
         assert out == pytest.approx(sigmoid(20.0))
 
 

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqlcalib.calibrate import logit_of_log_prob
 from sqlcalib.clausefreq import (
     MATCH_VECTOR_LEN,
     assemble_features,
     clause_frequencies,
-    logit_of_log_prob,
     query_match,
     resolve_schema,
     subquery_match,
@@ -237,16 +237,16 @@ class TestFeatureAssembly:
     def test_singleton_pool_gives_unit_frequencies(self):
         tree = q("select a from b")
         schema = resolve_schema("mps-nucleus")
-        fv = assemble_features(tree, -0.7, {"nucleus": [tree]}, schema)
-        assert len(fv.values) == 21
-        assert fv.values[1:] == (1.0,) * 20
+        values = assemble_features(tree, -0.7, {"nucleus": [tree]}, schema)
+        assert len(values) == 21
+        assert values[1:] == (1.0,) * 20
 
     def test_two_source_layout_length(self):
         tree = q("select a from b")
         schema = resolve_schema("mps-nb")
-        fv = assemble_features(tree, -0.7, {"nucleus": [tree], "beam": [tree]}, schema)
-        assert len(fv.values) == 41
-        assert fv.schema_id == "mps-nb"
+        values = assemble_features(tree, -0.7, {"nucleus": [tree], "beam": [tree]}, schema)
+        assert len(values) == 41
+        assert len(values) == schema.length
 
     def test_missing_required_pool(self):
         tree = q("select a from b")
@@ -269,9 +269,9 @@ class TestFeatureAssembly:
         tree = q("select a from b")
         schema = resolve_schema("ps", extras=("perplexity", "p_true"))
         assert schema.schema_id == "ps+p_true+perplexity"
-        fv = assemble_features(tree, -0.7, {}, schema, {"perplexity": 3.4, "p_true": 0.8})
-        assert len(fv.values) == 3
-        assert fv.values[1:] == (0.8, 3.4)  # sorted extra order
+        values = assemble_features(tree, -0.7, {}, schema, {"perplexity": 3.4, "p_true": 0.8})
+        assert len(values) == 3
+        assert values[1:] == (0.8, 3.4)  # sorted extra order
 
     def test_schema_lengths(self):
         assert resolve_schema("ps").length == 1

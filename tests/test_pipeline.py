@@ -1,6 +1,7 @@
 """File-level pipeline: loading, featurizing, fitting, evaluating, comparing."""
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -581,6 +582,109 @@ class TestEvaluate:
                    "--output", str(tmp_path / "m.json"), "--method", "ps"])
         assert rc == 2
         assert "constant" in capsys.readouterr().err
+
+
+GOOD_MODEL = {
+    "schema_id": "ps", "feature_names": ["logit_prob"], "intercept": 0.5, "weights": [2.0],
+    "penalty": 1.0, "feature_means": [0.0], "feature_scales": [1.0], "toolkit_version": "0.1.0",
+}
+
+
+def _model_without(key):
+    return {k: v for k, v in GOOD_MODEL.items() if k != key}
+
+
+class TestModelFile:
+    @pytest.mark.parametrize("command", ["apply", "evaluate"])
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            pytest.param({**GOOD_MODEL, "intercept": math.nan}, "intercept", id="nan-intercept"),
+            pytest.param(_model_without("weights"), "weights", id="no-weights"),
+            pytest.param([1], "JSON object", id="not-an-object"),
+            pytest.param({**GOOD_MODEL, "weights": ["x"]}, "weights", id="string-weight"),
+            pytest.param({**GOOD_MODEL, "weights": [True]}, "weights", id="bool-weight"),
+            pytest.param({**GOOD_MODEL, "weights": [1.0, 2.0]}, "weights", id="extra-weight"),
+            pytest.param({**GOOD_MODEL, "intercept": "0.5"}, "intercept", id="string-intercept"),
+            pytest.param({**GOOD_MODEL, "intercept": 10**400}, "intercept", id="huge-int"),
+            pytest.param({**GOOD_MODEL, "feature_names": [5]}, "feature_names", id="int-name"),
+            pytest.param(
+                {**GOOD_MODEL, "feature_names": ["logit_prob"] * 2, "weights": [1.0, 1.0],
+                 "feature_means": None, "feature_scales": None},
+                "feature_names", id="repeated-name",
+            ),
+            pytest.param({**GOOD_MODEL, "penalty": 0}, "penalty", id="zero-penalty"),
+            pytest.param({**GOOD_MODEL, "penalty": math.inf}, "penalty", id="infinite-penalty"),
+            pytest.param({**GOOD_MODEL, "feature_scales": [math.nan]}, "feature_scales", id="nan-scale"),
+            pytest.param(_model_without("feature_means"), "feature_means", id="no-means"),
+            pytest.param("{", "not JSON", id="not-json"),
+        ],
+    )
+    def test_bad_model_is_a_data_error(self, feature_files, tmp_path, capsys, command, doc, named):
+        model, out = tmp_path / "m.json", tmp_path / "out"
+        model.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv = [command, "--input", str(feature_files["ps"]), "--model", str(model),
+                "--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: model") and named in err
+        assert not out.exists()
+
+    def test_well_formed_model_loads(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**GOOD_MODEL, "feature_means": None, "weights": [2]}))
+        model = calibrate.load_model(path)
+        assert model.weights == (2.0,) and model.feature_means is None
+
+
+class TestPenalty:
+    @pytest.mark.parametrize("penalty", ["0", "nan", "-1", "inf"])
+    def test_fit_rejects_penalty_that_is_not_finite_and_positive(
+        self, feature_files, tmp_path, capsys, penalty
+    ):
+        model = tmp_path / "m.json"
+        argv = ["fit", "--input", str(feature_files["ps"]), "--output", str(model),
+                "--method", "ps", f"--penalty={penalty}"]
+        assert main(argv) == 1
+        assert "penalty must be a finite number > 0" in capsys.readouterr().err
+        assert not model.exists()
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "command, config, named",
+        [
+            ("featurize", {"scope": "bogus"}, "'scope'"),
+            ("featurize", {"schema": "bogus"}, "'schema'"),
+            ("featurize", [{"schema": "ps"}], "JSON object"),
+            ("fit", {"mask": 5}, "mask"),
+            ("fit", {"seed": None}, "'seed'"),
+            ("fit", {"penalty": True}, "'penalty'"),
+            ("fit", {"method": ["ps"]}, "'method'"),
+            ("evaluate", {"bins": 2.7}, "'bins'"),
+            ("synth", {"n": "many"}, "'n'"),
+        ],
+    )
+    def test_bad_entry_is_a_usage_error(self, feature_files, tmp_path, capsys, command, config, named):
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text(json.dumps(config))
+        source = [] if command == "synth" else ["--input", str(
+            FIXTURE if command == "featurize" else feature_files["ps"]
+        )]
+        assert main([command, *source, "--output", str(out), "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and named in err
+        assert not out.exists()
+
+    def test_entries_take_their_flag_types(self, feature_files, tmp_path, capsys):
+        path, model = tmp_path / "config.json", tmp_path / "m.json"
+        path.write_text(json.dumps({"method": "ps", "penalty": 2, "seed": "3", "bins": "x"}))
+        argv = ["fit", "--input", str(feature_files["ps"]), "--output", str(model),
+                "--config", str(path)]
+        assert main(argv) == 0  # fit never reads bins, so its bad entry is not checked
+        assert json.loads(model.read_text())["penalty"] == 2.0
+        assert main([*argv, "--penalty", "0.5"]) == 0
+        assert json.loads(model.read_text())["penalty"] == 0.5
 
 
 class TestCompare:
