@@ -111,12 +111,15 @@ def fit_logistic(data: LabeledFeatures, penalty: float = 1.0) -> CalibratorModel
     """Minimize the logistic loss plus (1 / (2*penalty)) * ||w||^2.
 
     The intercept is never penalized; ``penalty`` must be a finite number
-    > 0. Damped Newton iterations from zero initialization run until the
-    penalized gradient's infinity norm drops below tolerance, so refits on
-    identical inputs are bit-identical.
+    > 0 whose reciprocal is finite too. Damped Newton iterations from zero
+    initialization run until the penalized gradient's infinity norm drops
+    below tolerance, so refits on identical inputs are bit-identical.
+    Raises NonFinite when the features or the fitted model are not finite.
     """
-    if not 0 < penalty < math.inf:  # NaN fails too
-        raise ValueError(f"penalty must be a finite number > 0, got {penalty!r}")
+    if not (0 < penalty < math.inf and 1.0 / penalty < math.inf):  # NaN fails too
+        raise ValueError(
+            f"penalty must be a finite number > 0 with a finite reciprocal, got {penalty!r}"
+        )
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=float)
     n, m = X.shape
@@ -151,7 +154,10 @@ def fit_logistic(data: LabeledFeatures, penalty: float = 1.0) -> CalibratorModel
             break
         s = p * (1.0 - p)
         H = (Xd * s[:, None]).T @ Xd + np.diag(reg)
-        step = np.linalg.solve(H, g)
+        try:
+            step = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:  # saturated sigmoids leave H singular
+            raise NonFinite("fit failed: singular Newton step; features or penalty too extreme")
         t = 1.0
         decrement = float(g @ step)
         while True:
@@ -173,6 +179,9 @@ def fit_logistic(data: LabeledFeatures, penalty: float = 1.0) -> CalibratorModel
     means = X.mean(axis=0)
     scales = X.std(axis=0)
     scales[X.max(axis=0) == X.min(axis=0)] = 0.0  # constant columns: exactly zero
+    # features near the float limits overflow the Newton steps or the moments
+    if not all(np.isfinite(v).all() for v in (w, means, scales)):
+        raise NonFinite("fitted model is not finite: features or penalty too extreme")
     return CalibratorModel(
         schema_id=data.schema_id,
         feature_names=tuple(data.feature_names),

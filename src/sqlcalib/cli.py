@@ -95,6 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     common(p)
 
+    # a config file may serve several commands, so it may hold any command's flags
+    top.set_defaults(_config_keys={a.dest for cmd in sub.choices.values() for a in cmd._actions})
     return top
 
 
@@ -234,6 +236,9 @@ def main(argv=None) -> int:
                 args._config = json.load(fh)
             if not isinstance(args._config, dict):
                 raise UsageError(f"config {args.config} must be a JSON object")
+            unknown = ", ".join(map(repr, sorted(args._config.keys() - args._config_keys)))
+            if unknown:
+                raise UsageError(f"config {args.config}: unknown key {unknown}")
         return run(args)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

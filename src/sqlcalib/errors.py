@@ -30,7 +30,8 @@ class SingleClass(SqlCalibError):
 
 
 class NonFinite(SqlCalibError):
-    """Feature matrix contains NaN or infinite entries."""
+    """Feature matrix or fitted model contains NaN or infinite entries, or
+    the fit cannot be carried out in floating point."""
 
 
 class LengthMismatch(SqlCalibError):

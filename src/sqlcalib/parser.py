@@ -1,14 +1,16 @@
 """Recursive-descent parser for the supported SQL subset.
 
-The parser validates structure and simultaneously builds the canonical
-text of each clause. Anything outside the subset raises ParseError,
-which downstream stages treat as a syntactically bad candidate.
+The grammar only validates: each production consumes tokens and returns
+nothing. Every consumed token's canonical text goes onto one output list,
+and a clause's text is the slice of that list it consumed, joined by
+single spaces. Anything outside the subset raises ParseError, which
+downstream stages treat as a syntactically bad candidate.
 """
 
 from . import lexer
 from .errors import ParseError
 from .lexer import EOF, IDENT, KEYWORD, LPAREN, NUMBER, OP, RPAREN, SEMI, STRING, Token
-from .sqlast import QueryTree, SelectStatement, SetOperation, canonicalize
+from .sqlast import QueryTree, SelectStatement, SetOperation
 
 _COMPARISONS = ("=", "==", "!=", "<>", "<", "<=", ">", ">=")
 _JOIN_STARTERS = ("join", "inner", "left", "right", "full", "cross")
@@ -39,6 +41,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.out: list[str] = []  # the canonical text of each consumed token
 
     # -- cursor helpers -------------------------------------------------
 
@@ -49,6 +52,7 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok.kind != EOF:
             self.pos += 1
+            self.out.append(tok.text)
         return tok
 
     def at_keyword(self, *words: str) -> bool:
@@ -72,9 +76,15 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", self.peek().offset)
-        out = parse()
+        result = parse()
         self.depth -= 1
-        return out
+        return result
+
+    def text_of(self, parse) -> str:
+        """``parse()``, returning the text of the tokens it consumed."""
+        mark = len(self.out)
+        parse()
+        return " ".join(self.out[mark:])
 
     def fail(self, what: str):
         tok = self.peek()
@@ -100,285 +110,247 @@ class _Parser:
         distinct = where = group_by = having = order_by = limit = None
         if self.at_keyword("distinct"):
             distinct = self.advance().text
-        select = " ".join(self.parse_select_list())
+        select = self.text_of(self.parse_select_list)
         self.expect_keyword("from")
         tables, on, from_body = self.parse_from()
         if self.at_keyword("where"):
             self.advance()
-            where = " ".join(self.parse_expr())
+            where = self.text_of(self.parse_expr)
         if self.at_keyword("group"):
             self.advance()
             self.expect_keyword("by")
-            group_by = " ".join(self.parse_expr_list())
+            group_by = self.text_of(self.parse_expr_list)
         if self.at_keyword("having"):
             self.advance()
-            having = " ".join(self.parse_expr())
+            having = self.text_of(self.parse_expr)
         if self.at_keyword("order"):
             self.advance()
             self.expect_keyword("by")
-            order_by = " ".join(self.parse_order_list())
+            order_by = self.text_of(self.parse_order_list)
         if self.at_keyword("limit"):
             self.advance()
             limit = self.expect_kind(NUMBER, "number after LIMIT").text
         clauses = (distinct, select, tables, on, where, group_by, having, order_by, limit)
         return SelectStatement(clauses, from_body)
 
-    def parse_select_list(self) -> list[str]:
-        out = self.parse_select_item()
+    def parse_select_list(self) -> None:
+        self.parse_select_item()
         while self.peek().kind == lexer.COMMA:
             self.advance()
-            out.append(",")
-            out.extend(self.parse_select_item())
-        return out
+            self.parse_select_item()
 
-    def parse_select_item(self) -> list[str]:
+    def parse_select_item(self) -> None:
         if self.peek().kind == OP and self.peek().text == "*":
             self.advance()
-            return ["*"]
-        item = self.parse_expr()
+            return
+        self.parse_expr()
+        self.parse_alias()
+
+    def parse_alias(self) -> None:
         if self.at_keyword("as"):
             self.advance()
-            item.append("as")
-            item.append(self.expect_kind(IDENT, "alias name").text)
+            self.expect_kind(IDENT, "alias name")
         elif self.peek().kind == IDENT:
-            item.append(self.advance().text)
-        return item
+            self.advance()
 
     # -- FROM -----------------------------------------------------------
 
     def parse_from(self) -> tuple[str, str | None, str]:
         """The FROM clause as its tables text, its ON text (None without an
         ON) and its full text with each ON condition in place."""
-        tables = self.parse_table_ref()
-        body = list(tables)
+        out = self.out
+        start = segment = len(out)
+        tables: list[str] = []  # the FROM pieces outside the ON segments
         ons = []
+        self.parse_table_ref()
         while True:
-            on = None
             if self.peek().kind == lexer.COMMA:
                 self.advance()
-                step = [","] + self.parse_table_ref()
+                self.parse_table_ref()
             elif self.at_keyword(*_JOIN_STARTERS):
-                step = self.parse_join_connector() + self.parse_table_ref()
+                self.parse_join_connector()
+                self.parse_table_ref()
                 if self.at_keyword("on"):
+                    tables += out[segment:]
                     self.advance()
-                    on = " ".join(self.parse_expr())
+                    ons.append(self.text_of(self.parse_expr))
+                    segment = len(out)
             else:
                 break
-            tables += step
-            body += step
-            if on is not None:
-                ons.append(on)
-                body += ("on", on)
-        return " ".join(tables), " | ".join(ons) if ons else None, " ".join(body)
+        tables += out[segment:]
+        return " ".join(tables), " | ".join(ons) if ons else None, " ".join(out[start:])
 
-    def parse_join_connector(self) -> list[str]:
-        words = [self.advance().text]
-        if words[0] in ("inner", "cross"):
+    def parse_join_connector(self) -> None:
+        word = self.advance().text
+        if word in ("inner", "cross"):
             self.expect_keyword("join")
-            words.append("join")
-        elif words[0] in ("left", "right", "full"):
+        elif word in ("left", "right", "full"):
             if self.at_keyword("outer"):
                 self.advance()
-                words.append("outer")
             self.expect_keyword("join")
-            words.append("join")
-        return words
 
-    def parse_table_ref(self) -> list[str]:
+    def parse_table_ref(self) -> None:
         if self.peek().kind == LPAREN and self.peek(1).kind == KEYWORD and self.peek(1).text == "select":
-            out = self.parse_subquery_tokens()
+            self.parse_subquery()
         else:
-            out = [self.parse_name_chain("table name")]
-        if self.at_keyword("as"):
-            self.advance()
-            out.append("as")
-            out.append(self.expect_kind(IDENT, "alias name").text)
-        elif self.peek().kind == IDENT:
-            out.append(self.advance().text)
-        return out
+            self.parse_name_chain("table name")
+        self.parse_alias()
 
     # -- expressions ----------------------------------------------------
 
-    def parse_expr(self) -> list[str]:
-        out = self.parse_and_chain()
+    def parse_expr(self) -> None:
+        self.parse_and_chain()
         while self.at_keyword("or"):
             self.advance()
-            out.append("or")
-            out.extend(self.parse_and_chain())
-        return out
+            self.parse_and_chain()
 
-    def parse_and_chain(self) -> list[str]:
-        out = self.parse_not()
+    def parse_and_chain(self) -> None:
+        self.parse_not()
         while self.at_keyword("and"):
             self.advance()
-            out.append("and")
-            out.extend(self.parse_not())
-        return out
+            self.parse_not()
 
-    def parse_not(self) -> list[str]:
+    def parse_not(self) -> None:
         if self.at_keyword("not"):
             self.advance()
-            return ["not"] + self.nested(self.parse_not)
-        return self.parse_predicate()
+            self.nested(self.parse_not)
+        else:
+            self.parse_predicate()
 
-    def parse_predicate(self) -> list[str]:
-        out = self.parse_additive()
+    def parse_predicate(self) -> None:
+        self.parse_additive()
         tok = self.peek()
         if tok.kind == OP and tok.text in _COMPARISONS:
             self.advance()
-            out.append(tok.text)
-            out.extend(self.parse_additive())
-            return out
+            self.parse_additive()
+            return
         negated = False
         if self.at_keyword("not") and self.peek(1).kind == KEYWORD and self.peek(1).text in ("in", "between", "like"):
             self.advance()
-            out.append("not")
             negated = True
         if self.at_keyword("is"):
             if negated:
                 self.fail("IN, BETWEEN or LIKE after NOT")
             self.advance()
-            out.append("is")
             if self.at_keyword("not"):
                 self.advance()
-                out.append("not")
             self.expect_keyword("null")
-            out.append("null")
         elif self.at_keyword("between"):
             self.advance()
-            out.append("between")
-            out.extend(self.parse_additive())
+            self.parse_additive()
             self.expect_keyword("and")
-            out.append("and")
-            out.extend(self.parse_additive())
+            self.parse_additive()
         elif self.at_keyword("in"):
             self.advance()
-            out.append("in")
-            out.extend(self.parse_in_operand())
+            self.parse_in_operand()
         elif self.at_keyword("like"):
             self.advance()
-            out.append("like")
-            out.extend(self.parse_additive())
+            self.parse_additive()
         elif negated:
             self.fail("IN, BETWEEN or LIKE after NOT")
-        return out
 
-    def parse_in_operand(self) -> list[str]:
+    def parse_in_operand(self) -> None:
         if self.peek().kind != LPAREN:
             self.fail("( after IN")
         if self.peek(1).kind == KEYWORD and self.peek(1).text == "select":
-            return self.parse_subquery_tokens()
+            self.parse_subquery()
+            return
         self.advance()
-        out = ["("] + self.nested(self.parse_expr_list)
+        self.nested(self.parse_expr_list)
         self.expect_kind(RPAREN, ")")
-        out.append(")")
-        return out
 
-    def parse_additive(self) -> list[str]:
-        out = self.parse_multiplicative()
+    def parse_additive(self) -> None:
+        self.parse_multiplicative()
         while self.peek().kind == OP and self.peek().text in ("+", "-", "||"):
-            out.append(self.advance().text)
-            out.extend(self.parse_multiplicative())
-        return out
+            self.advance()
+            self.parse_multiplicative()
 
-    def parse_multiplicative(self) -> list[str]:
-        out = self.parse_unary()
+    def parse_multiplicative(self) -> None:
+        self.parse_unary()
         while self.peek().kind == OP and self.peek().text in ("*", "/", "%"):
-            out.append(self.advance().text)
-            out.extend(self.parse_unary())
-        return out
+            self.advance()
+            self.parse_unary()
 
-    def parse_unary(self) -> list[str]:
+    def parse_unary(self) -> None:
         if self.peek().kind == OP and self.peek().text in ("-", "+"):
-            return [self.advance().text] + self.nested(self.parse_unary)
-        return self.parse_primary()
+            self.advance()
+            self.nested(self.parse_unary)
+        else:
+            self.parse_primary()
 
-    def parse_primary(self) -> list[str]:
+    def parse_primary(self) -> None:
         tok = self.peek()
-        if tok.kind == NUMBER:
+        if tok.kind == NUMBER or (tok.kind == KEYWORD and tok.text == "null"):
             self.advance()
-            return [tok.text]
-        if tok.kind == STRING:
+        elif tok.kind == STRING:
             self.advance()
-            return [lexer.quote_literal(tok.text)]
-        if tok.kind == KEYWORD and tok.text == "null":
-            self.advance()
-            return ["null"]
-        if tok.kind == KEYWORD and tok.text == "exists":
+            self.out[-1] = lexer.quote_literal(tok.text)
+        elif tok.kind == KEYWORD and tok.text == "exists":
             self.advance()
             if self.peek().kind != LPAREN:
                 self.fail("( after EXISTS")
-            return ["exists"] + self.parse_subquery_tokens()
-        if tok.kind == LPAREN:
+            self.parse_subquery()
+        elif tok.kind == LPAREN:
             if self.peek(1).kind == KEYWORD and self.peek(1).text == "select":
-                return self.parse_subquery_tokens()
+                self.parse_subquery()
+                return
             self.advance()
-            out = ["("] + self.nested(self.parse_expr)
+            self.nested(self.parse_expr)
             self.expect_kind(RPAREN, ")")
-            out.append(")")
-            return out
-        if tok.kind == IDENT:
-            name = self.parse_name_chain("column name")
-            if self.peek().kind == LPAREN and not name.endswith("*"):
-                return self.parse_call(name)
-            return [name]
-        self.fail("expression")
+        elif tok.kind == IDENT:
+            last = self.parse_name_chain("column name")
+            if self.peek().kind == LPAREN and last != "*":
+                self.parse_call()
+        else:
+            self.fail("expression")
 
-    def parse_call(self, name: str) -> list[str]:
+    def parse_call(self) -> None:
         self.advance()  # (
-        out = [name, "("]
         if self.peek().kind == RPAREN:
             self.advance()
-            out.append(")")
-            return out
+            return
         if self.peek().kind == OP and self.peek().text == "*":
             self.advance()
-            out.append("*")
         else:
             if self.at_keyword("distinct"):
                 self.advance()
-                out.append("distinct")
-            out.extend(self.nested(self.parse_expr_list))
+            self.nested(self.parse_expr_list)
         self.expect_kind(RPAREN, ") to close call")
-        out.append(")")
-        return out
 
-    def parse_expr_list(self) -> list[str]:
-        out = self.parse_expr()
+    def parse_expr_list(self) -> None:
+        self.parse_expr()
         while self.peek().kind == lexer.COMMA:
             self.advance()
-            out.append(",")
-            out.extend(self.parse_expr())
-        return out
+            self.parse_expr()
 
-    def parse_order_list(self) -> list[str]:
-        out = self.parse_order_item()
+    def parse_order_list(self) -> None:
+        self.parse_order_item()
         while self.peek().kind == lexer.COMMA:
             self.advance()
-            out.append(",")
-            out.extend(self.parse_order_item())
-        return out
+            self.parse_order_item()
 
-    def parse_order_item(self) -> list[str]:
-        out = self.parse_expr()
+    def parse_order_item(self) -> None:
+        self.parse_expr()
         if self.at_keyword("asc", "desc"):
-            out.append(self.advance().text)
-        return out
+            self.advance()
 
     def parse_name_chain(self, what: str) -> str:
-        parts = [self.expect_kind(IDENT, what).text]
+        """Consume a dotted name as one output entry; return its last part."""
+        last = self.expect_kind(IDENT, what).text
+        if self.peek().kind != lexer.DOT:
+            return last
+        mark = len(self.out) - 1
         while self.peek().kind == lexer.DOT:
             self.advance()
             nxt = self.peek()
             if nxt.kind == OP and nxt.text == "*":
-                self.advance()
-                parts.append("*")
+                last = self.advance().text
                 break
-            parts.append(self.expect_kind(IDENT, "name after '.'").text)
-        return ".".join(parts)
+            last = self.expect_kind(IDENT, "name after '.'").text
+        self.out[mark:] = ["".join(self.out[mark:])]
+        return last
 
-    def parse_subquery_tokens(self) -> list[str]:
+    def parse_subquery(self) -> None:
         self.expect_kind(LPAREN, "(")
-        tree = self.nested(self.parse_query)
+        self.nested(self.parse_query)
         self.expect_kind(RPAREN, ") to close subquery")
-        return ["(", canonicalize(tree), ")"]

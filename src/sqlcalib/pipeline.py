@@ -387,6 +387,8 @@ def fit_command(
         raise ValueError("--mask cannot be combined with method 'ps'")
     if subsample_fraction is not None and subsample_count is not None:
         raise ValueError("give --subsample-fraction or --subsample-count, not both")
+    if subsample_fraction is not None and not 0 < subsample_fraction <= 1:  # NaN fails too
+        raise ValueError(f"--subsample-fraction must lie in (0, 1], got {subsample_fraction!r}")
 
     ff = load_features(features_path)
     if method == "ps":

@@ -177,9 +177,23 @@ class TestClauseFrequencies:
             assert all(b >= a for b, a in zip(after[:-1], before[:-1]))
 
 
-# A few queries, two of them set operations, so pools repeat trees often;
+def _grouped_join(t="t", k="k", g="a", h="1"):
+    return f"SELECT a, count(*) FROM {t} x JOIN u ON x.k = u.{k} GROUP BY {g} HAVING count(*) > {h}"
+
+
+# Edits of one clause each: FROM tables, ON, GROUP BY, HAVING. The benchmark
+# pools never vary these clauses or the set op, so only these texts put the
+# oracle on their columns.
+_EDITS = [{}, {"t": "s"}, {"k": "j"}, {"g": "a, b"}, {"h": "2"}]
+RARE_CLAUSE_QUERIES = (
+    [_grouped_join(**e) for e in _EDITS]
+    + [f"{_grouped_join()} {op} {_grouped_join(**e)}" for op in ("UNION", "EXCEPT") for e in _EDITS]
+    + [f"{_grouped_join(**e)} INTERSECT {_grouped_join()}" for e in _EDITS[1:]]
+)
+
+# A few queries, most of them set operations, so pools repeat trees often;
 # each is written as is or as a case or whitespace variant, or broken.
-BASE_QUERIES = CORPUS_ALL[:4] + CORPUS_ALL[-2:]
+BASE_QUERIES = CORPUS_ALL[:4] + CORPUS_ALL[-2:] + RARE_CLAUSE_QUERIES
 VARIANTS = [str, str.upper, str.lower, lambda t: t.replace(" ", "  "), lambda t: "\n" + t + " "]
 POOL_TEXT = st.one_of(
     st.builds(lambda t, f: f(t), st.sampled_from(BASE_QUERIES), st.sampled_from(VARIANTS)),

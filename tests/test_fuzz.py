@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sqlcalib.cli import main
@@ -104,7 +104,9 @@ FEATURE_ROW = st.fixed_dictionaries(
         "id": st.text(max_size=4),
         "label": mostly(st.sampled_from([0, 1])),
         "schema_id": mostly(st.just("ps")),
-        "values": mostly(st.tuples(mostly(st.floats(-5, 5) | st.integers(-5, 5)))),
+        "values": mostly(st.tuples(mostly(
+            st.floats(allow_nan=False, allow_infinity=False) | st.integers(-5, 5)
+        ))),
         "raw_prob": mostly(st.floats(0, 1)),
     },
     optional={"group": mostly(st.sampled_from(["easy", "hard", None]))},
@@ -126,6 +128,10 @@ def ps_model(tmp_path_factory):
 @pytest.mark.filterwarnings("ignore")  # non-converging fits on degenerate random rows
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rows=st.lists(FEATURE_ROW, min_size=1, max_size=6))
+@example(rows=[  # finite features whose fit overflows
+    {"id": "a", "label": 0, "schema_id": "ps", "values": [1e300], "raw_prob": 0.5},
+    {"id": "b", "label": 1, "schema_id": "ps", "values": [-1e300], "raw_prob": 0.5},
+])
 def test_feature_file_commands_exit_0_or_2_and_write_strict_json(ps_model, rows):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

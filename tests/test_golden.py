@@ -25,6 +25,7 @@ FIXTURE = Path(__file__).parent / "data" / "fixture_candidates.jsonl"
 
 FEATURES_SHA256 = "41e60665db79c443952b06f074323019791e33a8d96249d09274a6b864da3bd7"
 CORPUS_SHA256 = "f76128f7843516f7dd67e1f0134813ed3fd4c02d38d22e03f310898ce5a500c4"
+CORRUPTED_CLAUSES_SHA256 = "093bc3719d1b609bacb6decdfeb381a3832b2c31611bdd0735970d8534e86364"
 
 
 def _leaves(tree):
@@ -39,14 +40,24 @@ def test_featurize_fixture_bytes(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FEATURES_SHA256
 
 
-def test_canonical_and_clause_text_bytes():
+def _clause_text_digest(texts) -> str:
+    """sha256 over the canonical and clause texts of each text that parses."""
     lines = []
-    for sql in CORPUS_ALL:
-        tree = parse_sql(sql)
+    for sql in texts:
+        try:
+            tree = parse_sql(sql)
+        except ParseError:
+            continue
         leaves = [extract_clauses(leaf) for leaf in _leaves(tree)]
         lines.append(json.dumps({"canonical": canonicalize(tree), "leaves": leaves}))
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == CORPUS_SHA256
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_canonical_and_clause_text_bytes():
+    # the canonical text prints from_body, so only the clause texts pin the
+    # FROM tables and ON of the generated queries
+    assert _clause_text_digest(CORPUS_ALL) == CORPUS_SHA256
+    assert _clause_text_digest(_corrupted_queries()) == CORRUPTED_CLAUSES_SHA256
 
 
 # -- lexer and parser output, token by token -----------------------------------

@@ -484,6 +484,31 @@ class TestFit:
                 subsample_fraction=0.5, subsample_count=10,
             )
 
+    @pytest.mark.parametrize("fraction", ["inf", "-inf", "0", "-0.5", "nan"])
+    def test_subsample_fraction_outside_unit_interval_is_a_usage_error(
+        self, feature_files, tmp_path, capsys, fraction
+    ):
+        model = tmp_path / "m.json"
+        argv = ["fit", "--input", str(feature_files["nb"]), "--output", str(model),
+                f"--subsample-fraction={fraction}"]
+        assert main(argv) == 1
+        assert "--subsample-fraction must lie in (0, 1]" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "values", [[1e300, -1e300], [2e307, -1.0], [1e300, 0.5, -3.0], [1e20, -1e20]]
+    )
+    def test_overflowing_features_are_a_data_error(self, tmp_path, capsys, values):
+        src, model = tmp_path / "f.jsonl", tmp_path / "m.json"
+        rows = [{"id": str(i), "label": i % 2, "schema_id": "ps", "values": [v], "raw_prob": 0.5}
+                for i, v in enumerate(values * 2)]
+        src.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow inside the fit
+            assert main(["fit", "--input", str(src), "--output", str(model)]) == 2
+        assert capsys.readouterr().err.startswith("data error: fit")
+        assert not model.exists()
+
     def test_mask_with_ps_rejected(self, feature_files, tmp_path):
         with pytest.raises(ValueError):
             pipeline.fit_command(
@@ -638,7 +663,7 @@ class TestModelFile:
 
 
 class TestPenalty:
-    @pytest.mark.parametrize("penalty", ["0", "nan", "-1", "inf"])
+    @pytest.mark.parametrize("penalty", ["0", "nan", "-1", "inf", "1e-320", "5e-324"])
     def test_fit_rejects_penalty_that_is_not_finite_and_positive(
         self, feature_files, tmp_path, capsys, penalty
     ):
@@ -684,6 +709,28 @@ class TestConfig:
         assert main(argv) == 0  # fit never reads bins, so its bad entry is not checked
         assert json.loads(model.read_text())["penalty"] == 2.0
         assert main([*argv, "--penalty", "0.5"]) == 0
+        assert json.loads(model.read_text())["penalty"] == 0.5
+
+    @pytest.mark.parametrize(
+        "config", [{"penalti": 0.5}, {"penalty": 0.5, "subsample-fraction": 0.5}]
+    )
+    def test_key_no_command_has_is_a_usage_error(self, feature_files, tmp_path, capsys, config):
+        path, model = tmp_path / "config.json", tmp_path / "m.json"
+        path.write_text(json.dumps(config))
+        argv = ["fit", "--input", str(feature_files["ps"]), "--output", str(model),
+                "--config", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "unknown key" in err
+        assert repr(list(config)[-1]) in err
+        assert not model.exists()
+
+    def test_keys_of_other_commands_are_ignored(self, feature_files, tmp_path):
+        path, model = tmp_path / "config.json", tmp_path / "m.json"
+        path.write_text(json.dumps({"penalty": 0.5, "bins": 5, "scope": "beam", "n": 3}))
+        argv = ["fit", "--input", str(feature_files["ps"]), "--output", str(model),
+                "--config", str(path)]
+        assert main(argv) == 0
         assert json.loads(model.read_text())["penalty"] == 0.5
 
 
