@@ -114,7 +114,7 @@ class FeatureSchema:
         return tuple(names)
 
 
-_BASE_SCHEMAS = {
+BASE_SCHEMAS = {
     "ps": (),
     "mps-nucleus": ("nucleus",),
     "mps-beam": ("beam",),
@@ -129,13 +129,13 @@ def resolve_schema(schema_id: str, extras: tuple[str, ...] = ()) -> FeatureSchem
     suffix, is a SchemaError: every feature is looked up by its name.
     """
     base, _, suffix = schema_id.partition("+")
-    if base not in _BASE_SCHEMAS:
+    if base not in BASE_SCHEMAS:
         raise SchemaMismatch(
-            f"unknown feature schema {schema_id!r}; expected one of {sorted(_BASE_SCHEMAS)}"
+            f"unknown feature schema {schema_id!r}; expected one of {sorted(BASE_SCHEMAS)}"
         )
     suffix_extras = tuple(s for s in suffix.split("+") if s) if suffix else ()
     merged = suffix_extras + tuple(e for e in extras if e not in suffix_extras)
-    schema = FeatureSchema(base, _BASE_SCHEMAS[base], tuple(sorted(merged)))
+    schema = FeatureSchema(base, BASE_SCHEMAS[base], tuple(sorted(merged)))
     repeated = sorted(n for n, count in Counter(schema.feature_names()).items() if count > 1)
     if repeated:
         raise SchemaError(f"feature schema {schema.schema_id!r} repeats feature names {repeated}")

@@ -11,6 +11,7 @@ import json
 import sys
 
 from . import calibrate, pipeline
+from .clausefreq import BASE_SCHEMAS
 from .errors import SqlCalibError
 from .parser import parse_sql
 from .sqlast import SelectStatement, canonicalize, decompose, extract_clauses
@@ -52,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("featurize", help="candidate JSONL -> feature JSONL")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--schema", choices=["ps", "mps-nucleus", "mps-beam", "mps-nb"])
-    p.add_argument("--scope", choices=["nucleus", "beam", "union"])
+    p.add_argument("--schema", choices=list(BASE_SCHEMAS))
+    p.add_argument("--scope", choices=[*pipeline.SOURCES, "union"])
     common(p)
 
     p = sub.add_parser("fit", help="fit a calibrator on a feature file")
@@ -233,7 +234,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
-                args._config = json.load(fh)
+                try:
+                    args._config = json.load(fh)
+                except RecursionError:
+                    raise UsageError(f"config {args.config} nests too deeply") from None
             if not isinstance(args._config, dict):
                 raise UsageError(f"config {args.config} must be a JSON object")
             unknown = ", ".join(map(repr, sorted(args._config.keys() - args._config_keys)))

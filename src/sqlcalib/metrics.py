@@ -2,10 +2,12 @@
 
 All functions are pure and deterministic, including tie handling: equal
 scores share their average rank in the AUC, and equal sort keys fall back
-to input order everywhere a sort happens.
+to input order everywhere a sort happens. ECE and ACE differ only in how
+they cut the examples into bins; one routine, ``_binned``, turns the bins
+into the bin table and the calibration error.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,27 +27,15 @@ class BinRow:
 
 
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport:  # field order is the key order of metrics.json
+    group: Optional[str]
+    n: int
     brier: float
     ece: float
     ace: float
     auc: Optional[float]
-    n: int
     bins_ece: tuple[BinRow, ...]
     bins_ace: tuple[BinRow, ...]
-    group: Optional[str] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "n": self.n,
-            "brier": self.brier,
-            "ece": self.ece,
-            "ace": self.ace,
-            "auc": self.auc,
-            "bins_ece": [asdict(b) for b in self.bins_ece],
-            "bins_ace": [asdict(b) for b in self.bins_ace],
-        }
 
 
 def _check(scores, labels, probabilities: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -74,12 +64,17 @@ def brier(scores, labels) -> float:
     return float(np.mean((labels - scores) ** 2))
 
 
-def _row(i: int, lower: float, upper: float, s: np.ndarray, y: np.ndarray) -> BinRow:
-    if s.size == 0:
-        return BinRow(i, lower, upper, 0, 0.0, 0.0, 0.0)
-    ms = float(s.mean())
-    acc = float(y.mean())
-    return BinRow(i, lower, upper, int(s.size), ms, acc, acc - ms)
+def _binned(bins) -> tuple[float, tuple[BinRow, ...]]:
+    """The count-weighted mean |bias| over ``(lower, upper, scores, labels)``
+    bins, and their table; an empty bin stays in it with count 0."""
+    rows = []
+    for i, (lower, upper, s, y) in enumerate(bins):
+        ms, acc = (float(s.mean()), float(y.mean())) if s.size else (0.0, 0.0)
+        rows.append(BinRow(i, float(lower), float(upper), int(s.size), ms, acc, acc - ms))
+    if not rows:
+        raise ValueError("need at least one bin")
+    n = sum(r.count for r in rows)
+    return float(sum(r.count / n * abs(r.bias) for r in rows)), tuple(rows)
 
 
 def ece(scores, labels, k: int = 10) -> tuple[float, tuple[BinRow, ...]]:
@@ -89,17 +84,11 @@ def ece(scores, labels, k: int = 10) -> tuple[float, tuple[BinRow, ...]]:
     score of exactly 1.0 is representable. Empty bins contribute zero and
     stay in the table with count 0.
     """
-    if k < 1:
-        raise ValueError(f"need at least one bin, got k={k}")
     scores, labels = _check(scores, labels)
-    edges = np.array([i / k for i in range(k + 1)])
-    idx = np.minimum(np.searchsorted(edges, scores, side="right") - 1, k - 1)
-    rows = []
-    for i in range(k):
-        mask = idx == i
-        rows.append(_row(i, edges[i], edges[i + 1], scores[mask], labels[mask]))
-    total = sum(r.count / scores.size * abs(r.bias) for r in rows)
-    return float(total), tuple(rows)
+    # inner edges only, so a score of 1.0 lands in the last bin
+    idx = np.searchsorted([i / k for i in range(1, k)], scores, side="right")
+    masks = (idx == i for i in range(k))  # one live mask at a time, however many bins
+    return _binned((i / k, (i + 1) / k, scores[m], labels[m]) for i, m in enumerate(masks))
 
 
 def ace(scores, labels, k: int = 10) -> tuple[float, tuple[BinRow, ...]]:
@@ -107,27 +96,13 @@ def ace(scores, labels, k: int = 10) -> tuple[float, tuple[BinRow, ...]]:
 
     Examples are sorted by score (stable, so ties keep input order) and
     split into k contiguous groups; the first n mod k groups take the
-    extra example. Bin bounds report the min and max score inside.
+    extra example, so with n < k the last bins are empty. Bin bounds
+    report the min and max score inside, 0.0 for an empty bin.
     """
-    if k < 1:
-        raise ValueError(f"need at least one bin, got k={k}")
     scores, labels = _check(scores, labels)
-    n = scores.size
     order = np.argsort(scores, kind="stable")
-    s_sorted, y_sorted = scores[order], labels[order]
-    base, extra = divmod(n, k)
-    rows = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        s = s_sorted[start : start + size]
-        y = y_sorted[start : start + size]
-        lower = float(s[0]) if size else 0.0
-        upper = float(s[-1]) if size else 0.0
-        rows.append(_row(i, lower, upper, s, y))
-        start += size
-    total = sum(r.count / n * abs(r.bias) for r in rows)
-    return float(total), tuple(rows)
+    groups = zip(np.array_split(scores[order], k), np.array_split(labels[order], k))
+    return _binned((s[0] if s.size else 0.0, s[-1] if s.size else 0.0, s, y) for s, y in groups)
 
 
 def auc(scores, labels) -> float:
@@ -156,15 +131,6 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def reliability_curve(scores, labels, binning: str = "equal-width", k: int = 10):
-    """Bin table for calibration plots; the count column drives marker size."""
-    if binning == "equal-width":
-        return ece(scores, labels, k)[1]
-    if binning == "equal-mass":
-        return ace(scores, labels, k)[1]
-    raise ValueError(f"unknown binning {binning!r}; use 'equal-width' or 'equal-mass'")
-
-
 def compute_report(scores, labels, k: int = 10, group: Optional[str] = None) -> MetricsReport:
     """All four metrics plus both bin tables in one pass.
 
@@ -179,14 +145,14 @@ def compute_report(scores, labels, k: int = 10, group: Optional[str] = None) -> 
     except SingleClass:
         auc_val = None
     return MetricsReport(
+        group=group,
+        n=int(scores.size),
         brier=brier(scores, labels),
         ece=ece_val,
         ace=ace_val,
         auc=auc_val,
-        n=int(scores.size),
         bins_ece=bins_e,
         bins_ace=bins_a,
-        group=group,
     )
 
 
@@ -214,8 +180,6 @@ def compare_shift(
     """
     scores_a, labels = _check(scores_a, labels)
     scores_b, _ = _check(scores_b, labels)
-    if scores_a.shape != scores_b.shape:
-        raise LengthMismatch(f"{scores_a.size} vs {scores_b.size} scores")
     n = scores_a.size
     delta = scores_b - scores_a
     order = np.argsort(delta, kind="stable")

@@ -8,7 +8,7 @@ in a sidecar summary so that input lines are always fully accounted for.
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -88,6 +88,16 @@ def _check_group(doc: dict, lineno: int) -> Optional[str]:
     if group is not None and type(group) is not str:
         raise SchemaError(f"line {lineno}: group must be a string or null, got {group!r}")
     return group
+
+
+def _check_unique_ids(ids: list[str], linenos: list[int]) -> None:
+    """Ids, already strings, must be unique; the error names the first repeat's line."""
+    if len(set(ids)) != len(ids):  # scan only on the error path
+        seen = set()
+        for lineno, id_ in zip(linenos, ids):
+            if id_ in seen:
+                raise SchemaError(f"line {lineno}: duplicate id {id_!r}")
+            seen.add(id_)
 
 
 def _check_prob(doc: dict, key: str, lineno: int) -> float:
@@ -290,6 +300,7 @@ class FeatureFile:
 
 
 def load_features(path) -> FeatureFile:
+    """A feature file's rows as columns; ids are compared as strings and must be unique."""
     ids, values, labels, raw, groups, linenos = [], [], [], [], [], []
     schema_id = None
     for lineno, doc in iter_jsonl(path, ("id", "label", "schema_id", "values", "raw_prob")):
@@ -314,6 +325,7 @@ def load_features(path) -> FeatureFile:
         linenos.append(lineno)
     if schema_id is None:
         raise SchemaError(f"{path}: no feature rows")
+    _check_unique_ids(ids, linenos)
     return FeatureFile(
         ids=tuple(ids),
         X=_feature_matrix(values, linenos),
@@ -479,9 +491,9 @@ def evaluate_command(
             sel = np.array([g == value for g in ff.groups])
             groups[value] = metrics.compute_report(scores[sel], ff.y[sel], k=bins, group=value)
 
-    doc = {"overall": overall.as_dict()}
+    doc = {"overall": asdict(overall)}
     if group_by:
-        doc["groups"] = {name: rep.as_dict() for name, rep in groups.items()}
+        doc["groups"] = {name: asdict(rep) for name, rep in groups.items()}
     _write_json(out / "metrics.json", doc)
     _write_bins_csv(out / "reliability_equal_width.csv", overall.bins_ece)
     _write_bins_csv(out / "reliability_equal_mass.csv", overall.bins_ace)
@@ -503,16 +515,15 @@ def apply_command(features_path, model_path, output_path) -> int:
 
 def load_scored(path) -> list[dict]:
     """Scored rows in file order; ids are compared as strings and must be unique."""
-    rows, seen = [], set()
+    rows, linenos = [], []
     for lineno, doc in iter_jsonl(path, ("id", "label", "calibrated_prob")):
         doc["id"] = str(doc["id"])
-        if doc["id"] in seen:
-            raise SchemaError(f"line {lineno}: duplicate id {doc['id']!r}")
-        seen.add(doc["id"])
         _check_label(doc, lineno)
         _check_group(doc, lineno)
         _check_prob(doc, "calibrated_prob", lineno)
         rows.append(doc)
+        linenos.append(lineno)
+    _check_unique_ids([r["id"] for r in rows], linenos)
     return rows
 
 
@@ -635,9 +646,6 @@ def _write_json(path, doc) -> None:
 
 def _write_bins_csv(path, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("bin_index,lower,upper,count,mean_score,empirical_accuracy,bias\n")
+        fh.write(",".join(f.name for f in fields(metrics.BinRow)) + "\n")
         for r in rows:
-            fh.write(
-                f"{r.bin_index},{r.lower!r},{r.upper!r},{r.count},"
-                f"{r.mean_score!r},{r.empirical_accuracy!r},{r.bias!r}\n"
-            )
+            fh.write(",".join(map(repr, astuple(r))) + "\n")

@@ -1,8 +1,9 @@
-"""Golden bytes: featurize output, canonical/clause text, tokens and parse
-errors stay fixed.
+"""Golden bytes: featurize and evaluate output, canonical/clause text,
+tokens and parse errors stay fixed.
 
-The digests pin the exact output of the lexer, the parser and the feature
-writer; a refactor of any of them must leave them unchanged.
+The digests pin the exact output of the lexer, the parser, the feature
+writer and the metrics writer; a refactor of any of them must leave them
+unchanged.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from sqlcalib.cli import main
 from sqlcalib.errors import ParseError
 from sqlcalib.lexer import tokenize
 from sqlcalib.parser import parse_sql
@@ -38,6 +40,56 @@ def test_featurize_fixture_bytes(tmp_path):
     out = tmp_path / "features.jsonl"
     featurize_command(FIXTURE, out, "mps-nb", "union")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FEATURES_SHA256
+
+
+# evaluate's deterministic files; reliability_equal_width.csv is checked
+# field by field against the report in tests/test_pipeline.py instead
+EVALUATE_FILES = ("metrics.json", "reliability_equal_mass.csv", "scored.jsonl")
+EVALUATE_SHA256 = {
+    "fixture-by-group": {
+        "metrics.json": "efd00b6485a77a3ed8986dd1498a0ad0e8afc8c3fb769dca5d03867dfea1228d",
+        "reliability_equal_mass.csv": "f4055928e913a3018e3dec72c407415b565aed8c99f4f58498dbf1aa2a765e37",
+        "scored.jsonl": "f0f8d7f35bbe3d94a3cef147872ef905c13c36b366927b32711248f9e5dde1c1",
+    },
+    "synth-bins-7": {
+        "metrics.json": "22096527dcd22deac0f9184664468f9308100f88b64a84aa64865888204d5f59",
+        "reliability_equal_mass.csv": "3c6b6fc0f931da7bebe868bb35bbdd931ac711a557bb09fc499c450eaa89311e",
+        "scored.jsonl": "7fd87ebe36677d476fc676990d70c8c2b6eaa321464f0d32414ecec803eb54ba",
+    },
+    "five-rows": {
+        "metrics.json": "87a260abb6e03d7e191e881121022195ca327f3704fbf1fbcbbc1b1e704629d5",
+        "reliability_equal_mass.csv": "3dc4a123f026384893b113557df16b12aa61b17a13ed3c6455595c38ed3b3ff3",
+        "scored.jsonl": "c929a438fd435a0380373977f303d44ec785933dc0e0c3f64f2a3f2280f40270",
+    },
+}
+
+
+def _evaluate_input(name, tmp_path) -> tuple[Path, list[str]]:
+    """The feature file of one evaluate case and its extra flags."""
+    features = tmp_path / "features.jsonl"
+    if name == "fixture-by-group":
+        featurize_command(FIXTURE, features, "mps-nb", "union")
+        return features, ["--group-by", "group"]
+    if name == "synth-bins-7":
+        argv = ["synth", "--mode", "mps-signal", "--n", "500", "--seed", "3"]
+        assert main([*argv, "--output", str(features)]) == 0
+        return features, ["--bins", "7"]
+    rows = [
+        {"id": f"r{i}", "label": i % 2, "group": None, "schema_id": "ps",
+         "values": [0.0], "raw_prob": p}
+        for i, p in enumerate([0.9, 0.1, 0.35, 0.35, 1.0])
+    ]
+    features.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return features, ["--bins", "10"]  # fewer rows than bins: ACE has empty bins
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATE_SHA256))
+def test_evaluate_bytes(name, tmp_path):
+    features, flags = _evaluate_input(name, tmp_path)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--input", str(features), "--output", str(out), *flags]) == 0
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in EVALUATE_FILES}
+    assert digests == EVALUATE_SHA256[name]
 
 
 def _clause_text_digest(texts) -> str:

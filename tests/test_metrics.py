@@ -20,7 +20,6 @@ from sqlcalib.metrics import (
     compare_shift,
     compute_report,
     ece,
-    reliability_curve,
 )
 
 
@@ -273,7 +272,7 @@ class TestAuc:
         assert _average_ranks(values).tolist() == average_ranks_oracle(values).tolist()
 
 
-# -- reliability curve ---------------------------------------------------------------
+# -- reliability tables ---------------------------------------------------------------
 
 
 class TestReliabilityCurve:
@@ -281,25 +280,22 @@ class TestReliabilityCurve:
         rng = np.random.default_rng(40)
         scores = rng.uniform(size=200)
         labels = rng.integers(0, 2, size=200)
-        for binning in ("equal-width", "equal-mass"):
-            rows = reliability_curve(scores, labels, binning, 10)
+        for metric in (ece, ace):
+            rows = metric(scores, labels, 10)[1]
             assert sum(r.count for r in rows) == 200
 
     def test_equal_width_bounds(self):
-        rows = reliability_curve(np.random.default_rng(1).uniform(size=50), np.ones(50), "equal-width", 10)
+        rows = ece(np.random.default_rng(1).uniform(size=50), np.ones(50), 10)[1]
         for i, r in enumerate(rows):
             assert r.lower == i / 10
             assert r.upper == (i + 1) / 10
+            assert type(r.lower) is float and type(r.upper) is float
 
     def test_equal_mass_counts_differ_by_at_most_one(self):
         rng = np.random.default_rng(2)
-        rows = reliability_curve(rng.uniform(size=105), np.ones(105), "equal-mass", 10)
+        rows = ace(rng.uniform(size=105), np.ones(105), 10)[1]
         counts = [r.count for r in rows]
         assert max(counts) - min(counts) <= 1
-
-    def test_unknown_binning_rejected(self):
-        with pytest.raises(ValueError):
-            reliability_curve([0.5], [1], "quantile", 10)
 
 
 # -- report assembly --------------------------------------------------------------------
@@ -409,8 +405,6 @@ PROBABILITY_METRICS = {
     "ece": ece,
     "ace": ace,
     "compute_report": compute_report,
-    "reliability_equal_width": lambda s, y: reliability_curve(s, y, "equal-width"),
-    "reliability_equal_mass": lambda s, y: reliability_curve(s, y, "equal-mass"),
     "compare_shift_a": lambda s, y: compare_shift(s, np.full(len(s), 0.5), y),
     "compare_shift_b": lambda s, y: compare_shift(np.full(len(s), 0.5), s, y),
 }

@@ -3,12 +3,13 @@
 import json
 import math
 import warnings
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sqlcalib import calibrate, pipeline
+from sqlcalib import calibrate, metrics, pipeline
 from sqlcalib.cli import main
 from sqlcalib.errors import (
     IdMismatch,
@@ -360,6 +361,21 @@ class TestInputValues:
         assert main(argv + ["--output", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "apply", "evaluate"])
+    @pytest.mark.parametrize("ids", [["a", "a"], [1, "1"]])
+    def test_duplicate_feature_ids_are_a_data_error(
+        self, tmp_path, capsys, feature_files, command, ids
+    ):
+        model = tmp_path / "m.json"
+        pipeline.fit_command(feature_files["ps"], "ps", model)
+        rows = [{**self.FEATURE_ROW, "id": i, "label": n % 2} for n, i in enumerate(ids)]
+        write_jsonl(tmp_path / "f.jsonl", rows)
+        out = tmp_path / "out"
+        argv = [command, "--input", str(tmp_path / "f.jsonl"), "--output", str(out)]
+        assert main(argv + ([] if command == "fit" else ["--model", str(model)])) == 2
+        assert f"line 2: duplicate id {str(ids[1])!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_extra_names_round_trip_from_featurize_to_fit(self, tmp_path, capsys):
         records = [
             make_record(id=f"r{i}", label=i % 2, extra_features={"p_true": i / 4, "a+b": 0.5})
@@ -580,10 +596,16 @@ class TestEvaluate:
     def test_csv_rows_match_report_bins(self, feature_files, tmp_path):
         out = tmp_path / "eval2"
         reports = pipeline.evaluate_command(feature_files["nb"], None, out)
-        lines = (out / "reliability_equal_width.csv").read_text().splitlines()[1:]
-        assert len(lines) == len(reports["overall"].bins_ece)
-        first = lines[0].split(",")
-        assert int(first[3]) == reports["overall"].bins_ece[0].count
+        overall = reports["overall"]
+        for name, bins in [("equal_width", overall.bins_ece), ("equal_mass", overall.bins_ace)]:
+            header, *lines = (out / f"reliability_{name}.csv").read_text().splitlines()
+            assert header.split(",") == [f.name for f in fields(metrics.BinRow)]
+            assert len(lines) == len(bins)
+            for line, row in zip(lines, bins):
+                # every field is a plain number, equal to the report's
+                parsed = [int(v) if isinstance(getattr(row, f.name), int) else float(v)
+                          for v, f in zip(line.split(","), fields(metrics.BinRow))]
+                assert parsed == list(astuple(row))
 
     def test_wrong_schema_model_rejected(self, feature_files, tmp_path):
         model = calibrate.CalibratorModel(
@@ -699,6 +721,14 @@ class TestConfig:
         assert main([command, *source, "--output", str(out), "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error") and named in err
+        assert not out.exists()
+
+    def test_deeply_nested_config_is_a_usage_error(self, tmp_path, capsys):
+        path, out = tmp_path / "deep.json", tmp_path / "s.jsonl"
+        path.write_text("[" * 100_000)
+        assert main(["synth", "--output", str(out), "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and str(path) in err
         assert not out.exists()
 
     def test_entries_take_their_flag_types(self, feature_files, tmp_path, capsys):
