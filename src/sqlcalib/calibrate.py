@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -213,16 +213,7 @@ def apply_model(model: CalibratorModel, X) -> np.ndarray:
 def model_to_dict(model: CalibratorModel) -> dict:
     from . import __version__
 
-    return {
-        "schema_id": model.schema_id,
-        "feature_names": list(model.feature_names),
-        "intercept": model.intercept,
-        "weights": list(model.weights),
-        "penalty": model.penalty,
-        "feature_means": list(model.feature_means) if model.feature_means else None,
-        "feature_scales": list(model.feature_scales) if model.feature_scales else None,
-        "toolkit_version": __version__,
-    }
+    return {**asdict(model), "toolkit_version": __version__}
 
 
 def _model_number(value, key: str) -> float:

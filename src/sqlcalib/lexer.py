@@ -32,6 +32,8 @@ DOT = "."
 SEMI = ";"
 EOF = "eof"
 
+# each punctuation kind is its own character
+_PUNCTUATION = LPAREN + RPAREN + COMMA + DOT + SEMI
 _TWO_CHAR_OPS = ("<=", ">=", "!=", "<>", "==", "||")
 _ONE_CHAR_OPS = "=<>+-*/%"
 # For str patterns \s matches exactly what str.isspace accepts and \w exactly
@@ -94,20 +96,8 @@ def tokenize(text: str) -> list[Token]:
         elif c in _ONE_CHAR_OPS:
             tokens.append(Token(OP, c, start))
             i += 1
-        elif c == "(":
-            tokens.append(Token(LPAREN, "(", start))
-            i += 1
-        elif c == ")":
-            tokens.append(Token(RPAREN, ")", start))
-            i += 1
-        elif c == ",":
-            tokens.append(Token(COMMA, ",", start))
-            i += 1
-        elif c == ".":
-            tokens.append(Token(DOT, ".", start))
-            i += 1
-        elif c == ";":
-            tokens.append(Token(SEMI, ";", start))
+        elif c in _PUNCTUATION:
+            tokens.append(Token(c, c, start))
             i += 1
         else:
             raise ParseError(f"unexpected character {c!r}", start)

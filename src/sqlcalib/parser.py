@@ -5,6 +5,9 @@ nothing. Every consumed token's canonical text goes onto one output list,
 and a clause's text is the slice of that list it consumed, joined by
 single spaces. Anything outside the subset raises ParseError, which
 downstream stages treat as a syntactically bad candidate.
+
+No tree records how operands group, so precedence is not modelled: one
+production serves each syntactic shape (``a = b = c`` stays an error).
 """
 
 from . import lexer
@@ -13,6 +16,7 @@ from .lexer import EOF, IDENT, KEYWORD, LPAREN, NUMBER, OP, RPAREN, SEMI, STRING
 from .sqlast import QueryTree, SelectStatement, SetOperation
 
 _COMPARISONS = ("=", "==", "!=", "<>", "<", "<=", ">", ">=")
+_ARITHMETIC = ("+", "-", "||", "*", "/", "%")
 _JOIN_STARTERS = ("join", "inner", "left", "right", "full", "cross")
 # Nesting levels (brackets, subqueries, NOT or sign prefixes, set-operation
 # terms) a statement may open; keeps every tree walk clear of the recursion limit.
@@ -71,19 +75,19 @@ class _Parser:
             raise ParseError(f"expected {what}, found {tok.text!r}", tok.offset)
         return self.advance()
 
-    def nested(self, parse):
-        """``parse()`` one nesting level deeper; past MAX_DEPTH is a ParseError."""
+    def nested(self, parse, *args):
+        """``parse(*args)`` one nesting level deeper; past MAX_DEPTH is a ParseError."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", self.peek().offset)
-        result = parse()
+        result = parse(*args)
         self.depth -= 1
         return result
 
-    def text_of(self, parse) -> str:
-        """``parse()``, returning the text of the tokens it consumed."""
+    def text_of(self, parse, *args) -> str:
+        """``parse(*args)``, returning the text of the tokens it consumed."""
         mark = len(self.out)
-        parse()
+        parse(*args)
         return " ".join(self.out[mark:])
 
     def fail(self, what: str):
@@ -110,7 +114,7 @@ class _Parser:
         distinct = where = group_by = having = order_by = limit = None
         if self.at_keyword("distinct"):
             distinct = self.advance().text
-        select = self.text_of(self.parse_select_list)
+        select = self.text_of(self.comma_list, self.parse_select_item)
         self.expect_keyword("from")
         tables, on, from_body = self.parse_from()
         if self.at_keyword("where"):
@@ -119,25 +123,25 @@ class _Parser:
         if self.at_keyword("group"):
             self.advance()
             self.expect_keyword("by")
-            group_by = self.text_of(self.parse_expr_list)
+            group_by = self.text_of(self.comma_list, self.parse_expr)
         if self.at_keyword("having"):
             self.advance()
             having = self.text_of(self.parse_expr)
         if self.at_keyword("order"):
             self.advance()
             self.expect_keyword("by")
-            order_by = self.text_of(self.parse_order_list)
+            order_by = self.text_of(self.comma_list, self.parse_order_item)
         if self.at_keyword("limit"):
             self.advance()
             limit = self.expect_kind(NUMBER, "number after LIMIT").text
         clauses = (distinct, select, tables, on, where, group_by, having, order_by, limit)
         return SelectStatement(clauses, from_body)
 
-    def parse_select_list(self) -> None:
-        self.parse_select_item()
+    def comma_list(self, parse_item) -> None:
+        parse_item()
         while self.peek().kind == lexer.COMMA:
             self.advance()
-            self.parse_select_item()
+            parse_item()
 
     def parse_select_item(self) -> None:
         if self.peek().kind == OP and self.peek().text == "*":
@@ -199,14 +203,8 @@ class _Parser:
     # -- expressions ----------------------------------------------------
 
     def parse_expr(self) -> None:
-        self.parse_and_chain()
-        while self.at_keyword("or"):
-            self.advance()
-            self.parse_and_chain()
-
-    def parse_and_chain(self) -> None:
         self.parse_not()
-        while self.at_keyword("and"):
+        while self.at_keyword("and", "or"):
             self.advance()
             self.parse_not()
 
@@ -218,36 +216,30 @@ class _Parser:
             self.parse_predicate()
 
     def parse_predicate(self) -> None:
-        self.parse_additive()
+        self.parse_arithmetic()
         tok = self.peek()
         if tok.kind == OP and tok.text in _COMPARISONS:
             self.advance()
-            self.parse_additive()
+            self.parse_arithmetic()
             return
-        negated = False
         if self.at_keyword("not") and self.peek(1).kind == KEYWORD and self.peek(1).text in ("in", "between", "like"):
             self.advance()
-            negated = True
         if self.at_keyword("is"):
-            if negated:
-                self.fail("IN, BETWEEN or LIKE after NOT")
             self.advance()
             if self.at_keyword("not"):
                 self.advance()
             self.expect_keyword("null")
         elif self.at_keyword("between"):
             self.advance()
-            self.parse_additive()
+            self.parse_arithmetic()
             self.expect_keyword("and")
-            self.parse_additive()
+            self.parse_arithmetic()
         elif self.at_keyword("in"):
             self.advance()
             self.parse_in_operand()
         elif self.at_keyword("like"):
             self.advance()
-            self.parse_additive()
-        elif negated:
-            self.fail("IN, BETWEEN or LIKE after NOT")
+            self.parse_arithmetic()
 
     def parse_in_operand(self) -> None:
         if self.peek().kind != LPAREN:
@@ -256,18 +248,12 @@ class _Parser:
             self.parse_subquery()
             return
         self.advance()
-        self.nested(self.parse_expr_list)
+        self.nested(self.comma_list, self.parse_expr)
         self.expect_kind(RPAREN, ")")
 
-    def parse_additive(self) -> None:
-        self.parse_multiplicative()
-        while self.peek().kind == OP and self.peek().text in ("+", "-", "||"):
-            self.advance()
-            self.parse_multiplicative()
-
-    def parse_multiplicative(self) -> None:
+    def parse_arithmetic(self) -> None:
         self.parse_unary()
-        while self.peek().kind == OP and self.peek().text in ("*", "/", "%"):
+        while self.peek().kind == OP and self.peek().text in _ARITHMETIC:
             self.advance()
             self.parse_unary()
 
@@ -314,20 +300,8 @@ class _Parser:
         else:
             if self.at_keyword("distinct"):
                 self.advance()
-            self.nested(self.parse_expr_list)
+            self.nested(self.comma_list, self.parse_expr)
         self.expect_kind(RPAREN, ") to close call")
-
-    def parse_expr_list(self) -> None:
-        self.parse_expr()
-        while self.peek().kind == lexer.COMMA:
-            self.advance()
-            self.parse_expr()
-
-    def parse_order_list(self) -> None:
-        self.parse_order_item()
-        while self.peek().kind == lexer.COMMA:
-            self.advance()
-            self.parse_order_item()
 
     def parse_order_item(self) -> None:
         self.parse_expr()

@@ -6,6 +6,7 @@ in a sidecar summary so that input lines are always fully accounted for.
 """
 
 import json
+import math
 import os
 import warnings
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -76,6 +77,15 @@ def iter_jsonl(path, required=()):
 
 
 # type(), not isinstance(): JSON decodes to exact types, and a bool (an int) must fail
+def _check_id(doc: dict, lineno: int) -> str:
+    """A JSON string or number, as a string: ids are compared as strings.
+    NaN and infinities, which Python's json reads, are not JSON numbers."""
+    id_ = doc["id"]
+    if not (type(id_) in (str, int) or type(id_) is float and math.isfinite(id_)):
+        raise SchemaError(f"line {lineno}: id must be a string or a number, got {id_!r}")
+    return str(id_)
+
+
 def _check_label(doc: dict, lineno: int) -> int:
     label = doc["label"]
     if type(label) not in (int, float) or label not in (0, 1):
@@ -127,6 +137,7 @@ def load_candidates(path) -> list[CandidateRecord]:
 
 
 def _record_from_doc(doc: dict, lineno: int) -> CandidateRecord:
+    id_ = _check_id(doc, lineno)
     label = _check_label(doc, lineno)
     group = _check_group(doc, lineno)
     raw_cands = doc["candidates"]
@@ -172,7 +183,7 @@ def _record_from_doc(doc: dict, lineno: int) -> CandidateRecord:
             failures += 1
         candidates.append(Candidate(sql=sql, sum_log_prob=lp, source=c["source"], tree=tree))
     return CandidateRecord(
-        id=str(doc["id"]),
+        id=id_,
         label=label,
         candidates=candidates,
         group=group,
@@ -317,7 +328,7 @@ def load_features(path) -> FeatureFile:
             raise SchemaError(
                 f"line {lineno}: expected a list of {expected_len} values for {schema_id!r}"
             )
-        ids.append(str(doc["id"]))
+        ids.append(_check_id(doc, lineno))
         values.append(doc["values"])
         labels.append(_check_label(doc, lineno))
         raw.append(_check_prob(doc, "raw_prob", lineno))
@@ -471,7 +482,9 @@ def evaluate_command(
     group_by: Optional[str] = None,
 ) -> dict:
     """Score a feature file (raw probabilities when no model is given),
-    then write metrics JSON, both reliability CSVs and scored JSONL.
+    then write metrics JSON, both reliability CSVs and scored JSONL. Every
+    report is computed before anything is written, so an error leaves no
+    output directory behind.
 
     With group_by="group", adds one report per group value next to the
     overall one; group slices with a single label class report AUC null.
@@ -482,18 +495,22 @@ def evaluate_command(
     model = calibrate.load_model(model_path) if model_path else None
     scores = _scores_for(ff, model)
 
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     overall = metrics.compute_report(scores, ff.y, k=bins)
     groups = {}
     if group_by:
-        for value in sorted({g for g in ff.groups if g is not None}):
-            sel = np.array([g == value for g in ff.groups])
+        rows_of: dict[str, list[int]] = {}  # group -> its row indices, in file order
+        for i, g in enumerate(ff.groups):
+            if g is not None:
+                rows_of.setdefault(g, []).append(i)
+        for value in sorted(rows_of):
+            sel = rows_of[value]
             groups[value] = metrics.compute_report(scores[sel], ff.y[sel], k=bins, group=value)
 
     doc = {"overall": asdict(overall)}
     if group_by:
         doc["groups"] = {name: asdict(rep) for name, rep in groups.items()}
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "metrics.json", doc)
     _write_bins_csv(out / "reliability_equal_width.csv", overall.bins_ece)
     _write_bins_csv(out / "reliability_equal_mass.csv", overall.bins_ace)
@@ -517,7 +534,7 @@ def load_scored(path) -> list[dict]:
     """Scored rows in file order; ids are compared as strings and must be unique."""
     rows, linenos = [], []
     for lineno, doc in iter_jsonl(path, ("id", "label", "calibrated_prob")):
-        doc["id"] = str(doc["id"])
+        doc["id"] = _check_id(doc, lineno)
         _check_label(doc, lineno)
         _check_group(doc, lineno)
         _check_prob(doc, "calibrated_prob", lineno)

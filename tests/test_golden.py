@@ -145,6 +145,56 @@ UNICODE_CASES = [
 ]
 
 
+# Expression shapes the query generator never emits: arithmetic, signs, NOT
+# prefixes, every predicate form, calls and multi-item lists, plus the error
+# shapes a grammar change could move. Each case also runs cut at each space.
+EXPRESSION_CASES = [
+    "SELECT a + b - c || d * e / f % g FROM t",
+    "SELECT a * b + c / d - e % f || g FROM t",
+    "SELECT (a + b) * (c - d) FROM t WHERE (x || y) = 'z'",
+    "SELECT a FROM t WHERE a = 1 AND b == 2 OR c != 3 AND d <> 4",
+    "SELECT a FROM t WHERE a < 1 OR b <= 2 OR c > 3 AND d >= 4",
+    "SELECT -a, +b, - - c, -+-d, -(a + b) * +3 FROM t",
+    "SELECT a FROM t WHERE -x * 2 >= +y - -1.5e3",
+    "SELECT a FROM t WHERE NOT a = 1 AND NOT NOT b = 2 OR NOT (c = 3 OR d = 4)",
+    "SELECT a FROM t WHERE NOT EXISTS (SELECT b FROM u) OR NOT c",
+    "SELECT a FROM t WHERE x IN (1, 2, 3) AND y NOT IN ('a', 'b')",
+    "SELECT a FROM t WHERE x IN (SELECT b FROM u) OR y NOT IN (SELECT c FROM v WHERE c > 0)",
+    "SELECT a FROM t WHERE x BETWEEN 1 AND 2 AND y NOT BETWEEN a + 1 AND b * 2 OR z = 3",
+    "SELECT a FROM t WHERE x LIKE 'a%' AND y NOT LIKE '%b' || c",
+    "SELECT a FROM t WHERE x IS NULL OR y IS NOT NULL AND NOT z IS NULL",
+    "SELECT count(*), count(DISTINCT a), max(a + 1, b), f(), g(h(x), -y) FROM t",
+    "SELECT t.*, t.a AS x, b y, c + 1 AS z FROM t",
+    "SELECT a, b FROM t GROUP BY a, b + 1, c HAVING count(*) > 1 AND sum(d) < 10",
+    "SELECT a FROM t ORDER BY a, b DESC, c + d ASC, e LIMIT 5",
+    "SELECT a FROM t WHERE a = b = c",
+    "SELECT a FROM t WHERE NOT IS NULL",
+    "SELECT a FROM t WHERE a NOT = 1",
+    "SELECT a FROM t WHERE a NOT NULL",
+    "SELECT a FROM t WHERE x BETWEEN 1",
+    "SELECT a FROM t WHERE x BETWEEN 1 OR 2",
+    "SELECT a FROM t WHERE a IN 1",
+    "SELECT a FROM t WHERE a IN ()",
+    "SELECT a FROM t WHERE a IS NOT 1",
+    "SELECT a, FROM t",
+    "SELECT a FROM t GROUP BY a, ORDER BY b",
+    "SELECT a FROM t ORDER BY a, LIMIT 1",
+    "SELECT f(a, ) FROM t",
+    "SELECT a FROM t WHERE x IN (1, 2, )",
+    "SELECT a + FROM t WHERE * b",
+    "SELECT a FROM t WHERE a AND OR b",
+]
+
+
+def _cut_at_spaces(texts) -> list[str]:
+    """Each text, preceded by each of its prefixes that ends before a space."""
+    out = []
+    for text in texts:
+        out += [text[:i] for i, c in enumerate(text) if c == " "]
+        out.append(text)
+    return out
+
+
 def _corrupted_queries(n: int = 1500, seed: int = 11) -> list[str]:
     """Generated queries, two in three broken by a cut, an inserted character,
     a dropped word or an inserted keyword."""
@@ -193,12 +243,18 @@ LEX_PARSE_SHA256 = {
     "corpus": "04f4a405ff06dbc388f430923225fcfdfe110dcac8d870d4531d270cdddf13fc",
     "corrupted": "ceb5d8740db9580c4be510f711a72b928addde76f75dd549231a377c27b4368f",
     "unicode": "5e37397c09acd986071a50a6aec257b10f4595fa2f4565bd73235f46e23beb82",
+    "expressions": "30ab1d09b474ba60f58b0785cfc3fa88dee1788b1bb77caf904a2c635252d101",
 }
 
 
 @pytest.mark.parametrize(
     "name, texts",
-    [("corpus", CORPUS_ALL), ("corrupted", _corrupted_queries()), ("unicode", UNICODE_CASES)],
+    [
+        ("corpus", CORPUS_ALL),
+        ("corrupted", _corrupted_queries()),
+        ("unicode", UNICODE_CASES),
+        ("expressions", _cut_at_spaces(EXPRESSION_CASES)),
+    ],
 )
 def test_tokens_and_parse_errors_bytes(name, texts):
     digest = hashlib.sha256(_lex_parse_lines(texts).encode()).hexdigest()

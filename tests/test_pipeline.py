@@ -376,6 +376,21 @@ class TestInputValues:
         assert f"line 2: duplicate id {str(ids[1])!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["featurize", "fit", "evaluate", "compare"])
+    @pytest.mark.parametrize(
+        "bad_id", [None, True, [1], {"k": 1}, math.nan], ids=["null", "true", "list", "object", "nan"]
+    )
+    def test_id_that_is_not_a_string_or_number_is_a_data_error(
+        self, tmp_path, capsys, command, bad_id
+    ):
+        good = {"featurize": make_record(), "compare": self.SCORED_ROW}.get(command, self.FEATURE_ROW)
+        write_jsonl(tmp_path / "in.jsonl", [good, {**good, "id": bad_id}])
+        path, out = str(tmp_path / "in.jsonl"), tmp_path / "out"
+        inputs = ["--input-a", path, "--input-b", path] if command == "compare" else ["--input", path]
+        assert main([command, *inputs, "--output", str(out)]) == 2
+        assert "line 2: id must be a string or a number" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
     def test_extra_names_round_trip_from_featurize_to_fit(self, tmp_path, capsys):
         records = [
             make_record(id=f"r{i}", label=i % 2, extra_features={"p_true": i / 4, "a+b": 0.5})
@@ -606,6 +621,46 @@ class TestEvaluate:
                 parsed = [int(v) if isinstance(getattr(row, f.name), int) else float(v)
                           for v, f in zip(line.split(","), fields(metrics.BinRow))]
                 assert parsed == list(astuple(row))
+
+    def test_three_hundred_groups_each_equal_a_report_on_their_rows(self, tmp_path):
+        rng = np.random.default_rng(4)
+        n = 3000
+        groups = [None if i % 7 == 0 else f"g{int(rng.integers(300)):03d}" for i in range(n)]
+        probs = rng.uniform(size=n)
+        labels = (rng.uniform(size=n) < probs).astype(int)
+        rows = [
+            {"id": f"r{i}", "label": int(labels[i]), "group": groups[i], "schema_id": "ps",
+             "values": [0.0], "raw_prob": float(probs[i])}
+            for i in range(n)
+        ]
+        write_jsonl(tmp_path / "f.jsonl", rows)
+        reports = pipeline.evaluate_command(
+            tmp_path / "f.jsonl", None, tmp_path / "e", bins=7, group_by="group"
+        )["groups"]
+        names = sorted({g for g in groups if g is not None})
+        assert len(names) == 300 and list(reports) == names
+        for name in names:
+            sel = [i for i, g in enumerate(groups) if g == name]
+            expected = metrics.compute_report(probs[sel], labels[sel].astype(float), k=7, group=name)
+            assert reports[name] == expected
+
+    @pytest.mark.parametrize("bins", ["0", "-2"])
+    def test_bins_below_one_is_a_usage_error_and_writes_nothing(self, feature_files, tmp_path, bins):
+        out = tmp_path / "e"
+        argv = ["evaluate", "--input", str(feature_files["ps"]), "--output", str(out)]
+        assert main(argv + ["--bins", bins]) == 1
+        assert not out.exists()
+
+    def test_out_of_domain_scores_are_a_data_error_and_write_nothing(
+        self, feature_files, tmp_path, monkeypatch
+    ):
+        model = tmp_path / "m.json"
+        pipeline.fit_command(feature_files["ps"], "ps", model)
+        monkeypatch.setattr(calibrate, "apply_model", lambda m, X: np.full(len(X), 1.5))
+        out = tmp_path / "e"
+        argv = ["evaluate", "--input", str(feature_files["ps"]), "--model", str(model)]
+        assert main(argv + ["--output", str(out)]) == 2
+        assert not out.exists()
 
     def test_wrong_schema_model_rejected(self, feature_files, tmp_path):
         model = calibrate.CalibratorModel(
