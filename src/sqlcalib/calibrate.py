@@ -198,13 +198,23 @@ def apply_model(model: CalibratorModel, X) -> np.ndarray:
 
     The sigmoid saturates to exact 0.0 or 1.0 in float64 past |z| ~ 37;
     clipping to the toolkit-wide epsilon keeps the open-interval contract.
+    Raises NonFinite when a logit may overflow: the product's summation
+    order, and so an overflow's sign, would depend on the other rows.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != len(model.weights):
         raise SchemaMismatch(
             f"model {model.schema_id!r} expects {len(model.weights)} features, got {X.shape[1]}"
         )
-    raw = sigmoid(model.intercept + X @ np.asarray(model.weights))
+    w = np.asarray(model.weights)
+    # |intercept| + |w| . max |column| bounds every row's |logit|; a NaN
+    # intercept is left to the metrics, which reject NaN scores
+    col_max = np.maximum(X.max(axis=0, initial=0.0), -X.min(axis=0, initial=0.0))
+    with np.errstate(over="ignore"):
+        bound = abs(model.intercept) + np.abs(w) @ col_max
+    if np.isinf(bound):
+        raise NonFinite("model weights overflow the logit on these features")
+    raw = sigmoid(model.intercept + X @ w)
     return np.clip(raw, PROB_EPS, 1.0 - PROB_EPS)
 
 
@@ -262,12 +272,6 @@ def model_from_dict(doc) -> CalibratorModel:
         feature_means=means,
         feature_scales=scales,
     )
-
-
-def save_model(model: CalibratorModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
 
 
 def load_model(path) -> CalibratorModel:

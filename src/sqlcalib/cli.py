@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: parse, featurize, fit, apply, evaluate, compare, synth.
-Option precedence is CLI flag > --config file > built-in default.
+Each default lives on its flag; --config entries replace a command's
+defaults, so a flag given on the command line still wins.
 Exit codes: 0 success, 1 usage or validation problem, 2 data error,
 3 internal invariant violation.
 """
@@ -16,18 +17,6 @@ from .errors import SqlCalibError
 from .parser import parse_sql
 from .sqlast import SelectStatement, canonicalize, decompose, extract_clauses
 
-DEFAULTS = {
-    "schema": "mps-nb",
-    "scope": "union",
-    "method": "mps",
-    "penalty": 1.0,
-    "bins": 10,
-    "fractions": "0.01,0.05,0.1,0.2",
-    "seed": 0,
-    "mode": "calibrated",
-    "n": 1000,
-}
-
 
 class UsageError(Exception):
     pass
@@ -38,13 +27,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def fraction_list(raw: str) -> tuple:
+    """``--fractions`` text as a tuple of fractions, each in (0, 0.5]."""
+    values = [float(v) for v in raw.split(",") if v.strip()]
+    if not values or any(not 0 < f <= 0.5 for f in values):
+        raise UsageError(f"fractions must lie in (0, 0.5]; got {raw!r}")
+    return tuple(values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="sqlcalib", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.set_defaults(_flags={action.dest: action for action in p._actions})
+        p.set_defaults(_parser=p, _flags={action.dest: action for action in p._actions})
 
     p = sub.add_parser("parse", help="print the decomposition of one query as JSON")
     p.add_argument("sql", help="SQL text to parse")
@@ -53,19 +50,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("featurize", help="candidate JSONL -> feature JSONL")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--schema", choices=list(BASE_SCHEMAS))
-    p.add_argument("--scope", choices=[*pipeline.SOURCES, "union"])
+    p.add_argument("--schema", choices=list(BASE_SCHEMAS), default="mps-nb")
+    p.add_argument("--scope", choices=[*pipeline.SOURCES, "union"], default="union")
     common(p)
 
     p = sub.add_parser("fit", help="fit a calibrator on a feature file")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--method", choices=["ps", "mps"])
-    p.add_argument("--penalty", type=float)
+    p.add_argument("--method", choices=["ps", "mps"], default="mps")
+    p.add_argument("--penalty", type=float, default=1.0)
     p.add_argument("--mask", help="keep:names or drop:names (globs allowed)")
     p.add_argument("--subsample-fraction", type=float)
     p.add_argument("--subsample-count", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
 
     p = sub.add_parser("apply", help="score a feature file, write scored JSONL only")
@@ -78,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--model", help="model JSON; omit to evaluate raw probabilities")
     p.add_argument("--output", required=True, help="output directory")
-    p.add_argument("--bins", type=int)
+    p.add_argument("--bins", type=int, default=10)
     p.add_argument("--group-by", dest="group_by", help="per-group reports (field: group)")
     common(p)
 
@@ -86,30 +83,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-a", required=True)
     p.add_argument("--input-b", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--fractions", help="comma-separated fractions in (0, 0.5]")
+    p.add_argument("--fractions", type=fraction_list, default="0.01,0.05,0.1,0.2",
+                   help="comma-separated fractions in (0, 0.5]")
     common(p)
 
     p = sub.add_parser("synth", help="write a synthetic feature file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--mode", choices=["calibrated", "platt", "mps-signal"])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--mode", choices=["calibrated", "platt", "mps-signal"], default="calibrated")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     common(p)
 
     # a config file may serve several commands, so it may hold any command's flags
     top.set_defaults(_config_keys={a.dest for cmd in sub.choices.values() for a in cmd._actions})
     return top
-
-
-def _resolve(args: argparse.Namespace, key: str):
-    """CLI flag if given, else config-file entry, else built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    config = getattr(args, "_config", {})
-    if key in config:
-        return _config_entry(args._flags[key], key, config[key])
-    return DEFAULTS.get(key)
 
 
 def _config_entry(flag: argparse.Action, key: str, value):
@@ -121,6 +108,8 @@ def _config_entry(flag: argparse.Action, key: str, value):
         value = flag.type(str(value)) if flag.type else str(value)
     except ValueError:
         raise UsageError(f"config entry {key!r}: invalid {flag.type.__name__} {value!r}") from None
+    except UsageError as exc:  # a type's own range check, as --fractions has
+        raise UsageError(f"config entry {key!r}: {exc}") from None
     if flag.choices is not None and value not in flag.choices:
         raise UsageError(f"config entry {key!r}: {value!r} is not one of {list(flag.choices)}")
     return value
@@ -147,9 +136,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if cmd == "featurize":
-        summary = pipeline.featurize_command(
-            args.input, args.output, _resolve(args, "schema"), _resolve(args, "scope")
-        )
+        summary = pipeline.featurize_command(args.input, args.output, args.schema, args.scope)
         print(
             f"featurized {summary.used}/{summary.input_records} records "
             f"({summary.unusable} unusable, {summary.failed} failed, "
@@ -160,13 +147,13 @@ def run(args: argparse.Namespace) -> int:
     if cmd == "fit":
         model = pipeline.fit_command(
             args.input,
-            _resolve(args, "method"),
+            args.method,
             args.output,
-            penalty=_resolve(args, "penalty"),
-            mask=_resolve(args, "mask"),
-            subsample_fraction=_resolve(args, "subsample_fraction"),
-            subsample_count=_resolve(args, "subsample_count"),
-            seed=_resolve(args, "seed"),
+            penalty=args.penalty,
+            mask=args.mask,
+            subsample_fraction=args.subsample_fraction,
+            subsample_count=args.subsample_count,
+            seed=args.seed,
         )
         print(pipeline.standardized_weight_table(model))
         print(f"model written with {len(model.weights)} weights (+ intercept)")
@@ -179,29 +166,19 @@ def run(args: argparse.Namespace) -> int:
 
     if cmd == "evaluate":
         reports = pipeline.evaluate_command(
-            args.input,
-            args.model,
-            args.output,
-            bins=_resolve(args, "bins"),
-            group_by=_resolve(args, "group_by"),
+            args.input, args.model, args.output, bins=args.bins, group_by=args.group_by
         )
-        overall = reports["overall"]
-        auc = "n/a" if overall.auc is None else f"{overall.auc:.4f}"
-        print(
-            f"n={overall.n} brier={overall.brier:.4f} ece={overall.ece:.4f} "
-            f"ace={overall.ace:.4f} auc={auc}"
-        )
-        for name, rep in reports["groups"].items():
+        groups = ((f"  group={name} ", rep) for name, rep in reports["groups"].items())
+        for prefix, rep in [("", reports["overall"]), *groups]:
             auc = "n/a" if rep.auc is None else f"{rep.auc:.4f}"
             print(
-                f"  group={name} n={rep.n} brier={rep.brier:.4f} ece={rep.ece:.4f} "
+                f"{prefix}n={rep.n} brier={rep.brier:.4f} ece={rep.ece:.4f} "
                 f"ace={rep.ace:.4f} auc={auc}"
             )
         return 0
 
     if cmd == "compare":
-        fractions = _parse_fractions(_resolve(args, "fractions"))
-        strata = pipeline.compare_command(args.input_a, args.input_b, args.output, fractions)
+        strata = pipeline.compare_command(args.input_a, args.input_b, args.output, args.fractions)
         for s in strata:
             print(
                 f"{s.side:>6} {s.fraction:>5.0%}: n={s.count} delta={s.mean_delta:+.3f} "
@@ -210,39 +187,35 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if cmd == "synth":
-        sidecar = pipeline.synth_command(
-            _resolve(args, "n"),
-            _resolve(args, "mode"),
-            _resolve(args, "seed"),
-            args.output,
-        )
+        sidecar = pipeline.synth_command(args.n, args.mode, args.seed, args.output)
         print(json.dumps(sidecar))
         return 0
 
     raise UsageError(f"unknown command {cmd!r}")
 
 
-def _parse_fractions(raw: str) -> tuple:
-    values = [float(v) for v in raw.split(",") if v.strip()]
-    if not values or any(not 0 < f <= 0.5 for f in values):
-        raise UsageError(f"fractions must lie in (0, 0.5]; got {raw!r}")
-    return tuple(values)
-
-
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        top = build_parser()  # one per call: config defaults never reach the next call
+        args = top.parse_args(argv)
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
                 try:
-                    args._config = json.load(fh)
+                    config = json.load(fh)
                 except RecursionError:
                     raise UsageError(f"config {args.config} nests too deeply") from None
-            if not isinstance(args._config, dict):
+            if not isinstance(config, dict):
                 raise UsageError(f"config {args.config} must be a JSON object")
-            unknown = ", ".join(map(repr, sorted(args._config.keys() - args._config_keys)))
+            unknown = ", ".join(map(repr, sorted(config.keys() - args._config_keys)))
             if unknown:
                 raise UsageError(f"config {args.config}: unknown key {unknown}")
+            # checked entries become the command's defaults; a given flag still wins
+            args._parser.set_defaults(**{
+                key: _config_entry(args._flags[key], key, value)
+                for key, value in config.items()
+                if key in args._flags
+            })
+            args = top.parse_args(argv)
         return run(args)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -432,7 +432,7 @@ def fit_command(
 
     data = calibrate.LabeledFeatures(X=X, y=y, schema_id=ff.schema_id, feature_names=selected)
     model = calibrate.fit_logistic(data, penalty)
-    calibrate.save_model(model, output_path)
+    _write_json(output_path, calibrate.model_to_dict(model))
     return model
 
 
@@ -641,28 +641,26 @@ def synth_command(n: int, mode: str, seed: int, output_path) -> dict:
 # -- small IO helpers -----------------------------------------------------------
 
 
-def _write_jsonl(path, rows) -> None:
-    """Write ``rows``, any iterable, through a temporary file: an error raised
-    while they are produced leaves nothing at ``path``."""
+def _write_text(path, chunks) -> None:
+    """Write ``chunks``, any iterable of text, through a temporary file: an
+    error raised while they are produced leaves ``path`` as it was."""
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, separators=(",", ":")))
-                fh.write("\n")
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
+def _write_jsonl(path, rows) -> None:
+    _write_text(path, (json.dumps(row, separators=(",", ":")) + "\n" for row in rows))
+
+
 def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_text(path, [json.dumps(doc, indent=2) + "\n"])
 
 
 def _write_bins_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f.name for f in fields(metrics.BinRow)) + "\n")
-        for r in rows:
-            fh.write(",".join(map(repr, astuple(r))) + "\n")
+    header = ",".join(f.name for f in fields(metrics.BinRow)) + "\n"
+    _write_text(path, chain([header], (",".join(map(repr, astuple(r))) + "\n" for r in rows)))

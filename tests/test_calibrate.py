@@ -14,7 +14,7 @@ from sqlcalib.calibrate import (
     fit_logistic,
     load_model,
     logit,
-    save_model,
+    model_to_dict,
     sigmoid,
 )
 from sqlcalib.errors import NonFinite, SchemaMismatch, SingleClass
@@ -242,7 +242,7 @@ class TestApply:
         features, model_path = tmp_path / "f.jsonl", tmp_path / "m.json"
         row = {"id": "r", "label": 1, "schema_id": schema_id, "values": values, "raw_prob": 0.5}
         features.write_text(json.dumps(row) + "\n")
-        save_model(model, model_path)
+        pipeline._write_json(model_path, model_to_dict(model))
         pipeline.apply_command(features, model_path, tmp_path / "scored.jsonl")
         return json.loads((tmp_path / "scored.jsonl").read_text())["calibrated_prob"]
 
@@ -265,13 +265,13 @@ class TestPersistence:
         y[0] = 1 - y[0] if y.min() == y.max() else y[0]
         model = fit_logistic(make_data(X, y), penalty=0.7)
         path = tmp_path / "model.json"
-        save_model(model, path)
+        pipeline._write_json(path, model_to_dict(model))
         assert load_model(path) == model
 
     def test_document_fields(self, tmp_path):
         model = CalibratorModel("ps", ("logit_prob",), 0.25, (1.5,), 1.0, (0.1,), (0.9,))
         path = tmp_path / "model.json"
-        save_model(model, path)
+        pipeline._write_json(path, model_to_dict(model))
         doc = json.loads(path.read_text())
         assert set(doc) == {
             "schema_id",

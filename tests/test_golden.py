@@ -92,6 +92,44 @@ def test_evaluate_bytes(name, tmp_path):
     assert digests == EVALUATE_SHA256[name]
 
 
+# Everything the CLI prints, and every file it writes, over one fixture chain:
+# defaults and given flags, grouped and raw evaluate, the default and a given
+# --fractions, a fraction out of range (a usage error) and synth.
+CLI_CHAIN_SHA256 = {
+    "printed": "1a650a87dab9a1ad734aca837a0b733f1cad2e39e042352075b1f6113f24c076",
+    "files": "ab288b7a6dfcda9d42de11ddba0fb95a17b26bb3c71c9d654521236400dc085a",
+}
+
+
+def test_cli_chain_bytes(tmp_path, capsys):
+    names = ("f.jsonl", "ps.json", "mps.json", "s_ps.jsonl", "s_mps.jsonl")
+    f, ps, mps, s_ps, s_mps = (str(tmp_path / name) for name in names)
+    pair = ["--input-a", s_ps, "--input-b", s_mps]
+    chain = [
+        ["featurize", "--input", str(FIXTURE), "--output", f],
+        ["fit", "--input", f, "--output", mps],
+        ["fit", "--input", f, "--output", ps, "--method", "ps", "--penalty", "0.5"],
+        ["evaluate", "--input", f, "--model", mps, "--output", str(tmp_path / "ev"),
+         "--group-by", "group"],
+        ["evaluate", "--input", f, "--output", str(tmp_path / "raw"), "--bins", "7"],
+        ["apply", "--input", f, "--model", ps, "--output", s_ps],
+        ["apply", "--input", f, "--model", mps, "--output", s_mps],
+        ["compare", *pair, "--output", str(tmp_path / "shift.json")],
+        ["compare", *pair, "--output", str(tmp_path / "shift2.json"), "--fractions", "0.1,0.3"],
+        ["compare", *pair, "--output", str(tmp_path / "shift3.json"), "--fractions", "0.7"],
+        ["synth", "--n", "50", "--output", str(tmp_path / "syn.jsonl")],
+    ]
+    assert [main(argv) for argv in chain] == [0] * 9 + [1, 0]
+    captured = capsys.readouterr()
+    printed = hashlib.sha256((captured.out + captured.err).encode()).hexdigest()
+    files = "".join(
+        f"{p.relative_to(tmp_path).as_posix()} {hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+        for p in sorted(tmp_path.rglob("*")) if p.is_file()
+    )
+    digests = {"printed": printed, "files": hashlib.sha256(files.encode()).hexdigest()}
+    assert digests == CLI_CHAIN_SHA256
+
+
 def _clause_text_digest(texts) -> str:
     """sha256 over the canonical and clause texts of each text that parses."""
     lines = []

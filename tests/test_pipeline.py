@@ -1,5 +1,6 @@
 """File-level pipeline: loading, featurizing, fitting, evaluating, comparing."""
 
+import inspect
 import json
 import math
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from sqlcalib import calibrate, metrics, pipeline
-from sqlcalib.cli import main
+from sqlcalib.cli import build_parser, main
 from sqlcalib.errors import (
     IdMismatch,
     JsonError,
@@ -580,7 +581,7 @@ class TestEvaluate:
             schema_id="ps", feature_names=("logit_prob",),
             intercept=0.0, weights=(1.0,), penalty=1.0,
         )
-        calibrate.save_model(identity, tmp_path / "identity.json")
+        pipeline._write_json(tmp_path / "identity.json", calibrate.model_to_dict(identity))
         raw = pipeline.evaluate_command(
             feature_files["ps"], None, tmp_path / "raw"
         )["overall"]
@@ -667,7 +668,7 @@ class TestEvaluate:
             schema_id="mps-nucleus", feature_names=("logit_prob",),
             intercept=0.0, weights=(1.0,), penalty=1.0,
         )
-        calibrate.save_model(model, tmp_path / "m.json")
+        pipeline._write_json(tmp_path / "m.json", calibrate.model_to_dict(model))
         with pytest.raises(SchemaMismatch):
             pipeline.evaluate_command(
                 feature_files["nb"], tmp_path / "m.json", tmp_path / "e"
@@ -737,6 +738,27 @@ class TestModelFile:
         path.write_text(json.dumps({**GOOD_MODEL, "feature_means": None, "weights": [2]}))
         model = calibrate.load_model(path)
         assert model.weights == (2.0,) and model.feature_means is None
+
+    # [10, -10] has the exact logit 0, but X @ w overflows to +inf or -inf
+    # depending on the rows it is batched with
+    @pytest.mark.parametrize("command", ["apply", "evaluate"])
+    @pytest.mark.parametrize("values", [[[10.0, -10.0]], [[10.0, -10.0], [1.0, 1.0]]])
+    def test_weights_overflowing_the_logit_are_a_data_error(
+        self, tmp_path, capsys, command, values
+    ):
+        features, model, out = tmp_path / "f.jsonl", tmp_path / "m.json", tmp_path / "out"
+        write_jsonl(features, [
+            {"id": f"r{i}", "label": i % 2, "schema_id": "ps+x", "values": v, "raw_prob": 0.5}
+            for i, v in enumerate(values)
+        ])
+        model.write_text(json.dumps({
+            **GOOD_MODEL, "schema_id": "ps+x", "feature_names": ["logit_prob", "x"],
+            "weights": [1e308, 1e308], "feature_means": None, "feature_scales": None,
+        }))
+        argv = [command, "--input", str(features), "--model", str(model), "--output", str(out)]
+        assert main(argv) == 2
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPenalty:
@@ -817,6 +839,75 @@ class TestConfig:
                 "--config", str(path)]
         assert main(argv) == 0
         assert json.loads(model.read_text())["penalty"] == 0.5
+
+    # each flag default is the keyword default of the pipeline function it feeds;
+    # --fractions is compared after its text is parsed
+    @pytest.mark.parametrize(
+        "command, dest, function",
+        [
+            ("featurize", "scope", pipeline.featurize_command),
+            ("fit", "penalty", pipeline.fit_command),
+            ("fit", "seed", pipeline.fit_command),
+            ("evaluate", "bins", pipeline.evaluate_command),
+            ("compare", "fractions", pipeline.compare_command),
+        ],
+    )
+    def test_flag_defaults_equal_the_pipeline_defaults(self, command, dest, function):
+        files = ["--input-a", "a", "--input-b", "b"] if command == "compare" else ["--input", "i"]
+        args = build_parser().parse_args([command, *files, "--output", "o"])
+        assert getattr(args, dest) == inspect.signature(function).parameters[dest].default
+
+    def test_config_defaults_do_not_reach_the_next_call(self, tmp_path):
+        path, feats = tmp_path / "config.json", tmp_path / "f.jsonl"
+        path.write_text(json.dumps({"schema": "ps"}))
+        argv = ["featurize", "--input", str(FIXTURE), "--output", str(feats)]
+        assert main([*argv, "--config", str(path)]) == 0
+        assert json.loads(feats.read_text().splitlines()[0])["schema_id"] == "ps"
+        assert main(argv) == 0
+        assert json.loads(feats.read_text().splitlines()[0])["schema_id"] == "mps-nb"
+
+    def test_fractions_entry_equals_the_flag(self, feature_files, tmp_path):
+        pipeline.evaluate_command(feature_files["ps"], None, tmp_path / "e")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"fractions": "0.1,0.3"}))
+        argv = ["compare", "--input-a", str(tmp_path / "e" / "scored.jsonl"),
+                "--input-b", str(tmp_path / "e" / "scored.jsonl")]
+        assert main([*argv, "--output", str(tmp_path / "a.json"), "--fractions", "0.1,0.3"]) == 0
+        assert main([*argv, "--output", str(tmp_path / "b.json"), "--config", str(path)]) == 0
+        shift = (tmp_path / "a.json").read_bytes()
+        assert json.loads(shift)["fractions"] == [0.1, 0.3]
+        assert (tmp_path / "b.json").read_bytes() == shift
+
+    @pytest.mark.parametrize("via, named", [("flag", "fractions"), ("config", "'fractions'")])
+    def test_fraction_out_of_range_is_a_usage_error(self, tmp_path, capsys, via, named):
+        path, out = tmp_path / "config.json", tmp_path / "shift.json"
+        path.write_text(json.dumps({"fractions": "0.7"}))
+        option = ["--fractions", "0.7"] if via == "flag" else ["--config", str(path)]
+        argv = ["compare", "--input-a", "a", "--input-b", "b", "--output", str(out), *option]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and named in err and "(0, 0.5]" in err
+        assert not out.exists()
+
+    def test_entry_for_a_required_flag_is_checked(self, feature_files, tmp_path, capsys):
+        path, model = tmp_path / "config.json", tmp_path / "m.json"
+        path.write_text(json.dumps({"output": ["elsewhere.json"]}))
+        argv = ["fit", "--input", str(feature_files["ps"]), "--output", str(model),
+                "--config", str(path)]
+        assert main(argv) == 1
+        assert "config entry 'output'" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_entry_for_an_optional_flag_is_its_default(self, feature_files, tmp_path):
+        model, path = tmp_path / "m.json", tmp_path / "config.json"
+        pipeline.fit_command(feature_files["ps"], "ps", model, penalty=0.5)
+        path.write_text(json.dumps({"model": str(model)}))
+        argv = ["evaluate", "--input", str(feature_files["ps"])]
+        assert main([*argv, "--output", str(tmp_path / "flag"), "--model", str(model)]) == 0
+        assert main([*argv, "--output", str(tmp_path / "config"), "--config", str(path)]) == 0
+        assert main([*argv, "--output", str(tmp_path / "raw")]) == 0
+        reports = [(tmp_path / d / "metrics.json").read_bytes() for d in ("flag", "config", "raw")]
+        assert reports[0] == reports[1] != reports[2]
 
 
 class TestCompare:
@@ -953,6 +1044,36 @@ class TestCli:
                      "--schema", "mps-nucleus", "--config", str(config)]) == 0
         row = json.loads(feats.read_text().splitlines()[0])
         assert row["schema_id"] == "mps-nucleus"
+
+
+class TestAtomicWrites:
+    def test_failed_model_write_leaves_the_old_model(
+        self, feature_files, tmp_path, capsys, monkeypatch
+    ):
+        model = tmp_path / "m.json"
+        argv = ["fit", "--input", str(feature_files["ps"]), "--output", str(model),
+                "--method", "ps"]
+        assert main(argv) == 0
+        before = model.read_bytes()
+        to_dict = calibrate.model_to_dict
+        monkeypatch.setattr(calibrate, "model_to_dict", lambda m: {**to_dict(m), "x": object()})
+        assert main(argv) == 3
+        assert "internal error" in capsys.readouterr().err
+        assert model.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [model]
+
+    def test_error_while_chunks_are_produced_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+
+        def chunks():
+            yield "new\n"
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            pipeline._write_text(path, chunks())
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestDeterminism:
