@@ -122,8 +122,8 @@ BASE_SCHEMAS = {
 }
 
 
-def resolve_schema(schema_id: str, extras: tuple[str, ...] = ()) -> FeatureSchema:
-    """Look up a schema by id; a "+name" suffix list declares extras.
+def resolve_schema(schema_id: str) -> FeatureSchema:
+    """Look up a schema by id; a "+name" suffix list declares extras, sorted.
 
     An extra named like a standard feature, or a name given twice in the
     suffix, is a SchemaError: every feature is looked up by its name.
@@ -133,9 +133,8 @@ def resolve_schema(schema_id: str, extras: tuple[str, ...] = ()) -> FeatureSchem
         raise SchemaMismatch(
             f"unknown feature schema {schema_id!r}; expected one of {sorted(BASE_SCHEMAS)}"
         )
-    suffix_extras = tuple(s for s in suffix.split("+") if s) if suffix else ()
-    merged = suffix_extras + tuple(e for e in extras if e not in suffix_extras)
-    schema = FeatureSchema(base, BASE_SCHEMAS[base], tuple(sorted(merged)))
+    extras = tuple(sorted(name for name in suffix.split("+") if name))
+    schema = FeatureSchema(base, BASE_SCHEMAS[base], extras)
     repeated = sorted(n for n, count in Counter(schema.feature_names()).items() if count > 1)
     if repeated:
         raise SchemaError(f"feature schema {schema.schema_id!r} repeats feature names {repeated}")

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import calibrate, pipeline
+from . import pipeline
 from .clausefreq import BASE_SCHEMAS
 from .errors import SqlCalibError
 from .parser import parse_sql
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a calibrator on a feature file")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--method", choices=["ps", "mps"], default="mps")
+    p.add_argument("--method", choices=pipeline.METHODS, default="mps")
     p.add_argument("--penalty", type=float, default=1.0)
     p.add_argument("--mask", help="keep:names or drop:names (globs allowed)")
     p.add_argument("--subsample-fraction", type=float)
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write a synthetic feature file")
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--mode", choices=["calibrated", "platt", "mps-signal"], default="calibrated")
+    p.add_argument("--mode", choices=pipeline.SYNTH_MODES, default="calibrated")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     common(p)

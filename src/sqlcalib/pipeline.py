@@ -163,11 +163,8 @@ def _record_from_doc(doc: dict, lineno: int) -> CandidateRecord:
         lp = finite_float(c["sum_log_prob"])
         if lp is None:
             raise SchemaError(f"line {lineno}: candidate {i} sum_log_prob must be finite")
-        if lp > 0:
-            warnings.warn(
-                f"line {lineno}: sum_log_prob {lp} > 0; probability will be clipped",
-                stacklevel=3,
-            )
+        if lp > 0:  # a constant text, so the warnings registry and stderr hold it once
+            warnings.warn("sum_log_prob > 0; probability will be clipped", stacklevel=3)
         if c["source"] not in SOURCES:
             raise SchemaError(
                 f"line {lineno}: candidate {i} source must be one of {SOURCES}"
@@ -248,8 +245,7 @@ def featurize_records(
             summary.failures.append({"id": record.id, "reason": "no candidate parses"})
             continue
         if schema is None:
-            extras = tuple(sorted(record.extra_features)) if record.extra_features else ()
-            schema = resolve_schema(base.schema_id, extras)
+            schema = resolve_schema("+".join([base.schema_id, *(record.extra_features or ())]))
         try:
             primary = choose_primary(record, scope)
             # a source with only unparseable samples stays present but empty,
@@ -267,14 +263,8 @@ def featurize_records(
             summary.failures.append({"id": record.id, "reason": str(exc)})
             continue
         summary.used += 1
-        yield {
-            "id": record.id,
-            "label": record.label,
-            "group": record.group,
-            "schema_id": schema.schema_id,
-            "values": list(values),
-            "raw_prob": prob_of_log_prob(primary.sum_log_prob),
-        }
+        prob = prob_of_log_prob(primary.sum_log_prob)
+        yield _feature_row(record.id, record.label, record.group, schema.schema_id, values, prob)
 
 
 def featurize_command(input_path, output_path, schema_id: str, scope: str = "union") -> RunSummary:
@@ -288,6 +278,12 @@ def featurize_command(input_path, output_path, schema_id: str, scope: str = "uni
 
 
 # -- feature files ---------------------------------------------------------
+
+
+def _feature_row(id_, label, group, schema_id, values, raw_prob) -> dict:
+    """One feature-file row; its key order is the file's byte layout."""
+    return {"id": id_, "label": label, "group": group, "schema_id": schema_id,
+            "values": list(values), "raw_prob": raw_prob}
 
 
 @dataclass
@@ -367,6 +363,8 @@ def _feature_matrix(values: list[list], linenos: list[int]) -> np.ndarray:
 
 # -- fitting ----------------------------------------------------------------
 
+METHODS = ("ps", "mps")
+
 
 def parse_mask(mask: str, names: tuple[str, ...]) -> tuple[str, ...]:
     """Resolve a "keep:..." or "drop:..." glob list against feature names."""
@@ -404,8 +402,8 @@ def fit_command(
     matter the input schema; "mps" uses every column, optionally masked.
     Subsampling draws without replacement from the file, seeded.
     """
-    if method not in ("ps", "mps"):
-        raise ValueError(f"method must be 'ps' or 'mps', got {method!r}")
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if mask is not None and method == "ps":
         raise ValueError("--mask cannot be combined with method 'ps'")
     if subsample_fraction is not None and subsample_count is not None:
@@ -577,6 +575,7 @@ def compare_command(
 
 # -- synthetic data ------------------------------------------------------------
 
+SYNTH_MODES = ("calibrated", "platt", "mps-signal")
 PLATT_TRUE_WEIGHTS = (0.5, 2.0)
 SIGNAL_WEIGHTS = (-1.5, 0.35, 3.0)  # intercept, logit-prob slope, informative slope
 SIGNAL_FEATURE = "nucleus.agg"
@@ -585,52 +584,38 @@ SIGNAL_FEATURE = "nucleus.agg"
 def synth_command(n: int, mode: str, seed: int, output_path) -> dict:
     """Write a synthetic feature file for one of three generation modes.
 
-    "calibrated" draws scores uniform and labels at exactly that rate;
-    "platt" distorts scores through known weights (recorded in a sidecar
+    Each draws scores s uniform and labels at a rate q: "calibrated" takes
+    q = s; "platt" distorts s through known weights (recorded in a sidecar
     for recovery tests); "mps-signal" hides the real signal in one
     frequency-style feature so multivariate fits have an edge.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if mode not in SYNTH_MODES:
+        raise ValueError(f"unknown synth mode {mode!r}")
     rng = np.random.default_rng(seed)
     sidecar = {"mode": mode, "seed": seed, "n": n}
+    s = rng.uniform(size=n)
+    u = calibrate.logit(s)
+    schema = resolve_schema("mps-nucleus" if mode == "mps-signal" else "ps")
     if mode == "calibrated":
-        s = rng.uniform(size=n)
-        y = (rng.uniform(size=n) < s).astype(int)
-        schema_id, X = "ps", calibrate.logit(s)[:, None]
+        X, q = u[:, None], s
     elif mode == "platt":
         w0, w1 = PLATT_TRUE_WEIGHTS
-        s = rng.uniform(size=n)
-        q = calibrate.sigmoid(w0 + w1 * calibrate.logit(s))
-        y = (rng.uniform(size=n) < q).astype(int)
-        schema_id, X = "ps", calibrate.logit(s)[:, None]
+        X, q = u[:, None], calibrate.sigmoid(w0 + w1 * u)
         sidecar.update({"w0": w0, "w1": w1})
-    elif mode == "mps-signal":
-        schema = resolve_schema("mps-nucleus")
-        names = schema.feature_names()
+    else:
         b0, b1, b2 = SIGNAL_WEIGHTS
-        s = rng.uniform(size=n)
-        u = calibrate.logit(s)
         X = rng.uniform(size=(n, schema.length))
         X[:, 0] = u
-        v = X[:, names.index(SIGNAL_FEATURE)]
+        v = X[:, schema.feature_names().index(SIGNAL_FEATURE)]
         q = calibrate.sigmoid(b0 + b1 * u + b2 * v)
-        y = (rng.uniform(size=n) < q).astype(int)
-        schema_id = schema.schema_id
         sidecar.update(
             {"weights": list(SIGNAL_WEIGHTS), "informative_feature": SIGNAL_FEATURE}
         )
-    else:
-        raise ValueError(f"unknown synth mode {mode!r}")
+    y = (rng.uniform(size=n) < q).astype(int)  # drawn last: the draw order fixes the bytes
     rows = [
-        {
-            "id": f"syn{i:06d}",
-            "label": label,
-            "group": None,
-            "schema_id": schema_id,
-            "values": values,
-            "raw_prob": prob,
-        }
+        _feature_row(f"syn{i:06d}", label, None, schema.schema_id, values, prob)
         for i, (values, label, prob) in enumerate(zip(X.tolist(), y.tolist(), s.tolist()))
     ]
     _write_jsonl(output_path, rows)

@@ -9,13 +9,12 @@ is driven by ``random.Random`` so fixtures regenerate byte-identically.
 import random
 
 from .parser import parse_sql
-from .sqlast import QueryTree, SelectStatement, SetOperation, canonicalize, extract_clauses
+from .sqlast import SET_OPS, QueryTree, SelectStatement, SetOperation, canonicalize, extract_clauses
 
 _TABLES = ["orders", "users", "flights", "pilotskills", "receipts", "goods", "schools"]
 _COLUMNS = ["id", "name", "age", "price", "city", "food", "county", "built_year"]
 _FUNCS = ["count", "sum", "avg", "min", "max"]
 _STRINGS = ["Piper Cub", "Cake", "Cookie", "Closed", "New York", "it's"]
-_SET_OPS = ["union", "union all", "intersect", "except"]
 
 
 def _casing(rng: random.Random, word: str) -> str:
@@ -124,7 +123,7 @@ def generate_query(rng: random.Random) -> str:
     """A full statement: a SELECT or a chain of set operations."""
     text = generate_select(rng)
     while rng.random() < 0.22:
-        op = " ".join(_casing(rng, word) for word in rng.choice(_SET_OPS).split())
+        op = " ".join(_casing(rng, word) for word in rng.choice(SET_OPS).split())
         text = f"{text} {op} {generate_select(rng)}"
     if rng.random() < 0.15:
         text += ";"

@@ -281,7 +281,7 @@ class TestFeatureAssembly:
 
     def test_extras_append_after_standard_block(self):
         tree = q("select a from b")
-        schema = resolve_schema("ps", extras=("perplexity", "p_true"))
+        schema = resolve_schema("ps+perplexity+p_true")
         assert schema.schema_id == "ps+p_true+perplexity"
         values = assemble_features(tree, -0.7, {}, schema, {"perplexity": 3.4, "p_true": 0.8})
         assert len(values) == 3

@@ -1,8 +1,8 @@
-"""Golden bytes: featurize and evaluate output, canonical/clause text,
-tokens and parse errors stay fixed.
+"""Golden bytes: featurize, synth and evaluate output, canonical/clause
+text, tokens and parse errors stay fixed.
 
 The digests pin the exact output of the lexer, the parser, the feature
-writer and the metrics writer; a refactor of any of them must leave them
+writers and the metrics writer; a refactor of any of them must leave them
 unchanged.
 """
 
@@ -17,7 +17,7 @@ from sqlcalib.cli import main
 from sqlcalib.errors import ParseError
 from sqlcalib.lexer import tokenize
 from sqlcalib.parser import parse_sql
-from sqlcalib.pipeline import featurize_command
+from sqlcalib.pipeline import featurize_command, synth_command
 from sqlcalib.querygen import generate_query
 from sqlcalib.sqlast import SelectStatement, canonicalize, extract_clauses
 
@@ -40,6 +40,63 @@ def test_featurize_fixture_bytes(tmp_path):
     out = tmp_path / "features.jsonl"
     featurize_command(FIXTURE, out, "mps-nb", "union")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FEATURES_SHA256
+
+
+def _digest(*paths) -> str:
+    """sha256 over the bytes of each file in turn."""
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(Path(path).read_bytes())
+    return h.hexdigest()
+
+
+# synth's rows and sidecar, per mode and seed (n = 3000)
+SYNTH_SHA256 = {
+    ("calibrated", 0): "622bfd917264add26c376553a5f54cbb5dbf37479b862a03578e160f39ea130f",
+    ("calibrated", 7): "86b1d77a10d64d9bb708d0fff85318309fbb273da0212edc15b9e12554af71cb",
+    ("platt", 0): "d31dd79cf4b8a6f8d1a32c3064d3eacceec7d95f4467ea163c8b76c1b043de1a",
+    ("platt", 7): "c25b4f0eb5ba8bf2408e10eae08aa3fbdb2077b9fe1bb32f84951db7a3437fa3",
+    ("mps-signal", 0): "7706d5bcbc4a21836541ecda6a59a80a80d418734f06cc134014237e8265eeb9",
+    ("mps-signal", 7): "1a8f42fa597b338ac3d0f85a504ea05ce28de9c912b1aa7389974750a3739893",
+}
+
+
+@pytest.mark.parametrize("mode, seed", sorted(SYNTH_SHA256))
+def test_synth_bytes(mode, seed, tmp_path):
+    out = tmp_path / "syn.jsonl"
+    synth_command(3000, mode, seed, out)
+    assert _digest(out, f"{out}.sidecar.json") == SYNTH_SHA256[mode, seed]
+
+
+def _fixture_with_extras(path) -> Path:
+    """The fixture with extras p_true and perplexity on every record, except
+    that every 11th record lacks perplexity and every 13th has a NaN p_true."""
+    lines = []
+    for i, line in enumerate(FIXTURE.read_text().splitlines()):
+        doc = json.loads(line)
+        extras = {"p_true": (i * 37 % 100) / 100, "perplexity": 1 + (i % 7) * 0.25}
+        if i % 11 == 10:
+            del extras["perplexity"]
+        if i % 13 == 12:
+            extras["p_true"] = float("nan")
+        doc["extra_features"] = extras
+        lines.append(json.dumps(doc) + "\n")
+    path.write_text("".join(lines))
+    return path
+
+
+# featurize's rows and .summary.json for the fixture with extras, per schema
+EXTRAS_SHA256 = {
+    "ps": "413c823c70af8b5820d149aee454e31390b49d6132357242eadaa4df48b6e026",
+    "mps-nb": "9148ce8cf97e60fec9d21ebf3284b19200891646dd14a11f83a0b0f3dd79e9ea",
+}
+
+
+@pytest.mark.parametrize("schema", sorted(EXTRAS_SHA256))
+def test_featurize_with_extras_bytes(schema, tmp_path):
+    out = tmp_path / "features.jsonl"
+    featurize_command(_fixture_with_extras(tmp_path / "in.jsonl"), out, schema, "union")
+    assert _digest(out, f"{out}.summary.json") == EXTRAS_SHA256[schema]
 
 
 # evaluate's deterministic files; reliability_equal_width.csv is checked

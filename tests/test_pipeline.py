@@ -110,6 +110,20 @@ class TestLoadCandidates:
         with pytest.warns(UserWarning, match="clipped"):
             pipeline.load_candidates(path)
 
+    def test_positive_log_prob_warns_once_per_run(self, tmp_path):
+        # one text for every candidate, so the warnings registry and stderr
+        # hold one entry however many candidates are clipped
+        candidates = [
+            {"sql": f"select a from b where c = {j}", "sum_log_prob": 0.5 + j, "source": "beam"}
+            for j in range(20)
+        ]
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [make_record(id=f"r{i}", candidates=candidates) for i in range(200)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            pipeline.featurize_command(path, tmp_path / "f.jsonl", "ps")
+        assert len(caught) == 1
+
 
 class TestChoosePrimary:
     def load_one(self, tmp_path, candidates):
