@@ -153,7 +153,8 @@ def assemble_features(
     ``pools`` maps source name to the list of parsed samples for that
     source; every source the schema declares must be present and
     non-empty. Extra scalar features are taken from ``extras`` by name and
-    must be finite numbers.
+    must be finite numbers; an extra the schema does not name is an error
+    too, so no value is dropped unseen.
     """
     values = [logit_of_log_prob(sum_log_prob)]
     for src in schema.sources:
@@ -161,6 +162,9 @@ def assemble_features(
         if pool is None:
             raise SchemaMismatch(f"schema {schema.schema_id!r} requires a {src!r} pool")
         values.extend(clause_frequencies(candidate, pool))
+    unexpected = sorted(set(extras or ()) - set(schema.extras))
+    if unexpected:
+        raise SchemaMismatch(f"record has extra features {unexpected} not in {schema.schema_id!r}")
     for name in schema.extras:
         if extras is None or name not in extras:
             raise SchemaMismatch(f"record is missing extra feature {name!r}")

@@ -9,8 +9,10 @@ import json
 import math
 import os
 import warnings
+from array import array
 from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -231,9 +233,9 @@ def featurize_records(
     """Yield one feature row per usable record, taking records one at a time
     and counting each in ``summary``.
 
-    The first usable record with extra_features fixes the extra-feature
-    layout for the whole run (names sorted, appended after the standard
-    block); later records lacking one of those extras fail individually.
+    The first usable record fixes the extra-feature layout for the whole
+    run, an empty one included (names sorted, appended after the standard
+    block); a later record whose extra names differ from it fails on its own.
     """
     base = resolve_schema(schema_id)
     schema: Optional[FeatureSchema] = None
@@ -307,8 +309,18 @@ class FeatureFile:
 
 
 def load_features(path) -> FeatureFile:
-    """A feature file's rows as columns; ids are compared as strings and must be unique."""
-    ids, values, labels, raw, groups, linenos = [], [], [], [], [], []
+    """A feature file's rows as columns, filled while the file is read; ids
+    are compared as strings and must be unique.
+
+    The values of every row go into one flat float buffer, which ``X``
+    views as a C-contiguous (n, m) matrix. A value that is not a finite int
+    or float (a bool, a string, null, NaN, infinity, an int past the float
+    range) is a SchemaError naming its line. It is raised after every
+    per-row check and the id check, for the first such value in file order.
+    """
+    ids, groups, linenos = [], [], []
+    labels, raw, flat = array("d"), array("d"), array("d")
+    held_out = {}  # row -> values the buffer cannot hold; X reads NaN there
     schema_id = None
     for lineno, doc in iter_jsonl(path, ("id", "label", "schema_id", "values", "raw_prob")):
         if schema_id is None:
@@ -320,45 +332,43 @@ def load_features(path) -> FeatureFile:
             raise SchemaError(
                 f"line {lineno}: schema changed from {schema_id!r} to {doc['schema_id']!r}"
             )
-        if not isinstance(doc["values"], list) or len(doc["values"]) != expected_len:
+        values = doc["values"]
+        if not isinstance(values, list) or len(values) != expected_len:
             raise SchemaError(
                 f"line {lineno}: expected a list of {expected_len} values for {schema_id!r}"
             )
         ids.append(_check_id(doc, lineno))
-        values.append(doc["values"])
         labels.append(_check_label(doc, lineno))
         raw.append(_check_prob(doc, "raw_prob", lineno))
         groups.append(_check_group(doc, lineno))
         linenos.append(lineno)
+        if set(map(type, values)) <= {int, float}:  # the buffer itself takes True as 1.0
+            try:
+                flat.fromlist(values)  # all or nothing
+                continue
+            except OverflowError:  # an int past the float range
+                pass
+        held_out[len(linenos) - 1] = values
+        flat.fromlist([math.nan] * expected_len)
     if schema_id is None:
         raise SchemaError(f"{path}: no feature rows")
     _check_unique_ids(ids, linenos)
+    X = np.frombuffer(flat).reshape(len(ids), expected_len)
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        row = int(bad.argmax())
+        for v in held_out.get(row) or X[row].tolist():
+            if finite_float(v) is None:
+                raise SchemaError(f"line {linenos[row]}: values must be finite numbers, got {v!r}")
     return FeatureFile(
         ids=tuple(ids),
-        X=_feature_matrix(values, linenos),
-        y=np.asarray(labels, dtype=float),
-        raw_prob=np.asarray(raw, dtype=float),
+        X=X,
+        y=np.frombuffer(labels),
+        raw_prob=np.frombuffer(raw),
         groups=tuple(groups),
         schema_id=schema_id,
         feature_names=resolve_schema(schema_id).feature_names(),
     )
-
-
-def _feature_matrix(values: list[list], linenos: list[int]) -> np.ndarray:
-    """``values`` as a float matrix; a value that is not a finite int or float
-    (a bool, a string, null, NaN, infinity) is a SchemaError naming its line."""
-    X = None
-    if set(map(type, chain.from_iterable(values))) <= {int, float}:  # one C-level pass
-        try:
-            X = np.asarray(values, dtype=float)
-        except OverflowError:  # an int past the float range
-            pass
-    if X is None or not np.isfinite(X).all():
-        for lineno, row in zip(linenos, values):
-            for v in row:
-                if finite_float(v) is None:
-                    raise SchemaError(f"line {lineno}: values must be finite numbers, got {v!r}")
-    return X
 
 
 # -- fitting ----------------------------------------------------------------
@@ -457,18 +467,22 @@ def _scores_for(ff: FeatureFile, model: Optional[calibrate.CalibratorModel]) -> 
     return calibrate.apply_model(model, ff.X if same else ff.columns(model.feature_names))
 
 
-def scored_rows(ff: FeatureFile, scores: np.ndarray) -> list[dict]:
-    return [
-        {
-            "id": ff.ids[i],
-            "label": int(ff.y[i]),
-            "raw_prob": float(ff.raw_prob[i]),
-            "calibrated_prob": float(scores[i]),
-            "group": ff.groups[i],
-            "schema_id": ff.schema_id,
-        }
-        for i in range(len(ff.ids))
-    ]
+SCORED_LINE = (
+    '{"id":%s,"label":%d,"raw_prob":%r,"calibrated_prob":%r,"group":%s,"schema_id":%s}\n'
+)
+
+
+def scored_rows(ff: FeatureFile, scores: np.ndarray) -> Iterator[str]:
+    """Scored-file lines in row order: the bytes of ``json.dumps`` with
+    compact separators. Only strings, int labels and finite floats from
+    ``tolist`` reach the template, and ``repr`` is how ``json`` writes
+    such a float."""
+    schema_id = encode_basestring_ascii(ff.schema_id)
+    for id_, label, raw, calibrated, group in zip(
+        ff.ids, ff.y.astype(int).tolist(), ff.raw_prob.tolist(), scores.tolist(), ff.groups
+    ):
+        group = "null" if group is None else encode_basestring_ascii(group)
+        yield SCORED_LINE % (encode_basestring_ascii(id_), label, raw, calibrated, group, schema_id)
 
 
 def evaluate_command(
@@ -512,7 +526,7 @@ def evaluate_command(
     _write_json(out / "metrics.json", doc)
     _write_bins_csv(out / "reliability_equal_width.csv", overall.bins_ece)
     _write_bins_csv(out / "reliability_equal_mass.csv", overall.bins_ace)
-    _write_jsonl(out / "scored.jsonl", scored_rows(ff, scores))
+    _write_text(out / "scored.jsonl", scored_rows(ff, scores))
     return {"overall": overall, "groups": groups}
 
 
@@ -520,52 +534,49 @@ def apply_command(features_path, model_path, output_path) -> int:
     """Score a feature file with a model, emitting scored JSONL only."""
     ff = load_features(features_path)
     model = calibrate.load_model(model_path)
-    rows = scored_rows(ff, _scores_for(ff, model))
-    _write_jsonl(output_path, rows)
-    return len(rows)
+    _write_text(output_path, scored_rows(ff, _scores_for(ff, model)))
+    return len(ff.ids)
 
 
 # -- comparison ---------------------------------------------------------------
 
 
-def load_scored(path) -> list[dict]:
-    """Scored rows in file order; ids are compared as strings and must be unique."""
-    rows, linenos = [], []
+def load_scored(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """A scored file's ids, labels and calibrated probabilities, in file
+    order; ids are compared as strings and must be unique."""
+    ids, linenos, labels, probs = [], [], array("d"), array("d")
     for lineno, doc in iter_jsonl(path, ("id", "label", "calibrated_prob")):
-        doc["id"] = _check_id(doc, lineno)
-        _check_label(doc, lineno)
+        ids.append(_check_id(doc, lineno))
+        labels.append(_check_label(doc, lineno))
         _check_group(doc, lineno)
-        _check_prob(doc, "calibrated_prob", lineno)
-        rows.append(doc)
+        probs.append(_check_prob(doc, "calibrated_prob", lineno))
         linenos.append(lineno)
-    _check_unique_ids([r["id"] for r in rows], linenos)
-    return rows
+    _check_unique_ids(ids, linenos)
+    return ids, np.frombuffer(labels), np.frombuffer(probs)
 
 
 def compare_command(
     path_a, path_b, output_path, fractions=(0.01, 0.05, 0.10, 0.20)
 ) -> tuple:
     """Join two scored files on id and stratify by probability shift."""
-    rows_a = load_scored(path_a)
-    by_id_b = {r["id"]: r for r in load_scored(path_b)}
-    ids_a = [r["id"] for r in rows_a]
-    missing_in_b = [i for i in ids_a if i not in by_id_b]
-    missing_in_a = sorted(set(by_id_b) - set(ids_a))
+    ids_a, labels, scores_a = load_scored(path_a)
+    ids_b, labels_b, scores_b = load_scored(path_b)
+    row_of_b = {id_: i for i, id_ in enumerate(ids_b)}
+    missing_in_b = [i for i in ids_a if i not in row_of_b]
+    missing_in_a = sorted(set(row_of_b) - set(ids_a))
     if missing_in_b or missing_in_a:
         raise IdMismatch(
             f"ids only in {path_a}: {missing_in_b[:10]}; only in {path_b}: {missing_in_a[:10]}"
         )
-    for r in rows_a:
-        if by_id_b[r["id"]]["label"] != r["label"]:
-            raise SchemaError(f"id {r['id']!r} has different labels in the two files")
-    scores_a = [r["calibrated_prob"] for r in rows_a]
-    scores_b = [by_id_b[r["id"]]["calibrated_prob"] for r in rows_a]
-    labels = [r["label"] for r in rows_a]
-    strata = metrics.compare_shift(scores_a, scores_b, labels, fractions)
+    rows_b = np.fromiter(map(row_of_b.__getitem__, ids_a), dtype=np.intp, count=len(ids_a))
+    differ = labels != labels_b[rows_b]
+    if differ.any():
+        raise SchemaError(f"id {ids_a[differ.argmax()]!r} has different labels in the two files")
+    strata = metrics.compare_shift(scores_a, scores_b[rows_b], labels, fractions)
     _write_json(
         output_path,
         {
-            "n": len(rows_a),
+            "n": len(ids_a),
             "fractions": list(fractions),
             "strata": [asdict(s) for s in strata],
         },
@@ -614,10 +625,10 @@ def synth_command(n: int, mode: str, seed: int, output_path) -> dict:
             {"weights": list(SIGNAL_WEIGHTS), "informative_feature": SIGNAL_FEATURE}
         )
     y = (rng.uniform(size=n) < q).astype(int)  # drawn last: the draw order fixes the bytes
-    rows = [
-        _feature_row(f"syn{i:06d}", label, None, schema.schema_id, values, prob)
-        for i, (values, label, prob) in enumerate(zip(X.tolist(), y.tolist(), s.tolist()))
-    ]
+    rows = (  # one row's values at a time, not the whole matrix as lists
+        _feature_row(f"syn{i:06d}", label, None, schema.schema_id, x.tolist(), prob)
+        for i, (x, label, prob) in enumerate(zip(X, y.tolist(), s.tolist()))
+    )
     _write_jsonl(output_path, rows)
     _write_json(str(output_path) + ".sidecar.json", sidecar)
     return sidecar

@@ -9,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlcalib import calibrate, metrics, pipeline
 from sqlcalib.cli import build_parser, main
+from sqlcalib.clausefreq import resolve_schema
 from sqlcalib.errors import (
     IdMismatch,
     JsonError,
@@ -24,6 +27,7 @@ from sqlcalib.parser import parse_sql
 from sqlcalib.querygen import generate_candidate_records
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_candidates.jsonl"
+EXTRAS = st.none() | st.dictionaries(st.sampled_from(["p", "q", "r"]), st.floats(-1e6, 1e6))
 
 
 def write_jsonl(path, rows):
@@ -252,6 +256,45 @@ class TestFeaturize:
         rows = [json.loads(l) for l in out.read_text().splitlines()]
         assert rows[0]["schema_id"] == "ps+p_true+perplexity"
         assert rows[0]["values"][1:] == [0.7, 2.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(EXTRAS, st.booleans()), max_size=6))
+    def test_every_extra_is_in_its_row_or_its_record_failed(self, drawn):
+        sql = "select a from b"
+        tree = parse_sql(sql)
+        records = [
+            pipeline.CandidateRecord(
+                id=f"r{k}", label=k % 2, extra_features=extras,
+                candidates=[pipeline.Candidate(sql, -0.5, "nucleus", tree if parses else None)],
+            )
+            for k, (extras, parses) in enumerate(drawn)
+        ]
+        summary = pipeline.RunSummary()
+        rows = {r["id"]: r for r in pipeline.featurize_records(records, "ps", summary=summary)}
+        failed = {f["id"] for f in summary.failures}
+        for record in records:
+            if record.id not in failed:
+                row = rows[record.id]
+                by_name = dict(zip(resolve_schema(row["schema_id"]).feature_names(), row["values"]))
+                extras = record.extra_features or {}
+                assert {name: by_name.get(name) for name in extras} == extras
+        accounted = summary.used + summary.unusable + summary.failed
+        assert accounted == summary.input_records == len(records)
+
+    def test_later_record_with_other_extras_fails_naming_them(self, tmp_path):
+        rc, summary, out = _featurize_summary(tmp_path, [
+            make_record(id="a"),
+            make_record(id="b", extra_features={"p_true": 0.3}),
+            make_record(id="c", extra_features={}),
+        ])
+        assert rc == 0 and (summary["used"], summary["failed"]) == (2, 1)
+        assert summary["failures"] == [
+            {"id": "b", "reason": "record has extra features ['p_true'] not in 'ps'"}
+        ]
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["id"], r["schema_id"], len(r["values"])) for r in rows] == [
+            ("a", "ps", 1), ("c", "ps", 1)
+        ]
 
     def test_raw_prob_is_clipped_exp(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -946,6 +989,17 @@ class TestCompare:
                 tmp_path / "short.jsonl",
                 tmp_path / "shift.json",
             )
+
+    def test_join_follows_ids_not_file_order(self, tmp_path):
+        a = [{"id": f"r{i}", "label": i % 2, "calibrated_prob": 0.1 * i} for i in range(6)]
+        paths = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "s.json"
+        write_jsonl(paths[0], a)
+        write_jsonl(paths[1], a[::-1])
+        assert all(s.mean_delta == 0.0 for s in pipeline.compare_command(*paths, [0.5]))
+        flipped = [{**r, "label": 1 - r["label"]} if r["id"] in ("r2", "r4") else r for r in a]
+        write_jsonl(paths[1], flipped[::-1])  # r4 comes first in b, r2 first in a
+        with pytest.raises(SchemaError, match=r"^id 'r2' has different labels in the two files$"):
+            pipeline.compare_command(*paths)
 
     def test_small_fixture_against_hand_join(self, tmp_path):
         a = [{"id": f"r{i}", "label": i % 2, "calibrated_prob": 0.1 * (i % 10)} for i in range(20)]
