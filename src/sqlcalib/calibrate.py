@@ -36,16 +36,6 @@ MAX_ITER = 100
 
 
 @dataclass(frozen=True)
-class LabeledFeatures:
-    """A feature matrix with binary labels."""
-
-    X: np.ndarray  # (n, m)
-    y: np.ndarray  # (n,) in {0, 1}
-    schema_id: str = "ps"
-    feature_names: tuple[str, ...] = ("logit_prob",)
-
-
-@dataclass(frozen=True)
 class CalibratorModel:
     schema_id: str
     feature_names: tuple[str, ...]
@@ -107,8 +97,13 @@ def prob_of_log_prob(sum_log_prob: float) -> float:
     return min(max(p, PROB_EPS), 1.0 - PROB_EPS)
 
 
-def fit_logistic(data: LabeledFeatures, penalty: float = 1.0) -> CalibratorModel:
-    """Minimize the logistic loss plus (1 / (2*penalty)) * ||w||^2.
+def fit_logistic(
+    X, y, penalty: float = 1.0, *, schema_id: str = "ps",
+    feature_names: tuple[str, ...] = ("logit_prob",),
+) -> CalibratorModel:
+    """Minimize the logistic loss plus (1 / (2*penalty)) * ||w||^2 over the
+    rows of ``X`` (n, m) and labels ``y`` in {0, 1}; the model records
+    ``schema_id`` and ``feature_names``, which default to Platt scaling's.
 
     The intercept is never penalized; ``penalty`` must be a finite number
     > 0 whose reciprocal is finite too. Damped Newton iterations from zero
@@ -120,8 +115,8 @@ def fit_logistic(data: LabeledFeatures, penalty: float = 1.0) -> CalibratorModel
         raise ValueError(
             f"penalty must be a finite number > 0 with a finite reciprocal, got {penalty!r}"
         )
-    X = np.asarray(data.X, dtype=float)
-    y = np.asarray(data.y, dtype=float)
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
     n, m = X.shape
     if not np.all(np.isfinite(X)):
         raise NonFinite("feature matrix contains non-finite entries")
@@ -171,7 +166,7 @@ def fit_logistic(data: LabeledFeatures, penalty: float = 1.0) -> CalibratorModel
         warnings.warn("logistic fit hit the iteration cap before converging", stacklevel=2)
 
     intercept, coef = float(w[0]), w[1:]
-    if tuple(data.feature_names) == ("logit_prob",) and coef[0] <= 0:
+    if tuple(feature_names) == ("logit_prob",) and coef[0] <= 0:
         warnings.warn(
             "fitted slope is not positive; calibrated scores will not preserve ranking",
             stacklevel=2,
@@ -183,8 +178,8 @@ def fit_logistic(data: LabeledFeatures, penalty: float = 1.0) -> CalibratorModel
     if not all(np.isfinite(v).all() for v in (w, means, scales)):
         raise NonFinite("fitted model is not finite: features or penalty too extreme")
     return CalibratorModel(
-        schema_id=data.schema_id,
-        feature_names=tuple(data.feature_names),
+        schema_id=schema_id,
+        feature_names=tuple(feature_names),
         intercept=intercept,
         weights=tuple(float(v) for v in coef),
         penalty=penalty,

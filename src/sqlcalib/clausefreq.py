@@ -16,7 +16,6 @@ from .errors import EmptyPool, SchemaError, SchemaMismatch
 from .sqlast import CLAUSE_KINDS, QueryTree, SelectStatement, decompose
 
 MATCH_VECTOR_LEN = 19  # 1 set-op + 9 clauses per root subquery
-SCF_VECTOR_LEN = 20  # 19 frequencies + their product
 
 _ALL = (1,) * len(CLAUSE_KINDS)
 _NONE = (0,) * len(CLAUSE_KINDS)
@@ -89,29 +88,10 @@ class FeatureSchema:
     """Declared layout of a feature vector: logit-probability first, one
     frequency block per source, then any client-supplied extras."""
 
-    base_id: str
+    schema_id: str  # canonical: the base id, then the extras, sorted
     sources: tuple[str, ...]
-    extras: tuple[str, ...] = ()
-
-    @property
-    def schema_id(self) -> str:
-        if not self.extras:
-            return self.base_id
-        return self.base_id + "+" + "+".join(self.extras)
-
-    @property
-    def length(self) -> int:
-        return 1 + SCF_VECTOR_LEN * len(self.sources) + len(self.extras)
-
-    def feature_names(self) -> tuple[str, ...]:
-        names = ["logit_prob"]
-        for src in self.sources:
-            names.append(f"{src}.set_op")
-            names.extend(f"{src}.sq1.{kind}" for kind in CLAUSE_KINDS)
-            names.extend(f"{src}.sq2.{kind}" for kind in CLAUSE_KINDS)
-            names.append(f"{src}.agg")
-        names.extend(self.extras)
-        return tuple(names)
+    extras: tuple[str, ...]
+    feature_names: tuple[str, ...]
 
 
 BASE_SCHEMAS = {
@@ -134,11 +114,18 @@ def resolve_schema(schema_id: str) -> FeatureSchema:
             f"unknown feature schema {schema_id!r}; expected one of {sorted(BASE_SCHEMAS)}"
         )
     extras = tuple(sorted(name for name in suffix.split("+") if name))
-    schema = FeatureSchema(base, BASE_SCHEMAS[base], extras)
-    repeated = sorted(n for n, count in Counter(schema.feature_names()).items() if count > 1)
+    canonical = "+".join([base, *extras])
+    names = ["logit_prob"]
+    for src in BASE_SCHEMAS[base]:
+        names.append(f"{src}.set_op")
+        names.extend(f"{src}.sq1.{kind}" for kind in CLAUSE_KINDS)
+        names.extend(f"{src}.sq2.{kind}" for kind in CLAUSE_KINDS)
+        names.append(f"{src}.agg")
+    names.extend(extras)
+    repeated = sorted(n for n, count in Counter(names).items() if count > 1)
     if repeated:
-        raise SchemaError(f"feature schema {schema.schema_id!r} repeats feature names {repeated}")
-    return schema
+        raise SchemaError(f"feature schema {canonical!r} repeats feature names {repeated}")
+    return FeatureSchema(canonical, BASE_SCHEMAS[base], extras, tuple(names))
 
 
 def assemble_features(

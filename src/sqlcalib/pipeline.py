@@ -327,7 +327,13 @@ def load_features(path) -> FeatureFile:
             schema_id = doc["schema_id"]
             if type(schema_id) is not str:
                 raise SchemaError(f"line {lineno}: schema_id must be a string, got {schema_id!r}")
-            expected_len = resolve_schema(schema_id).length
+            schema = resolve_schema(schema_id)
+            if schema_id != schema.schema_id:
+                raise SchemaError(
+                    f"line {lineno}: schema_id {schema_id!r} is not canonical;"
+                    f" expected {schema.schema_id!r}"
+                )
+            expected_len = len(schema.feature_names)
         elif doc["schema_id"] != schema_id:
             raise SchemaError(
                 f"line {lineno}: schema changed from {schema_id!r} to {doc['schema_id']!r}"
@@ -367,7 +373,7 @@ def load_features(path) -> FeatureFile:
         raw_prob=np.frombuffer(raw),
         groups=tuple(groups),
         schema_id=schema_id,
-        feature_names=resolve_schema(schema_id).feature_names(),
+        feature_names=schema.feature_names,
     )
 
 
@@ -438,8 +444,7 @@ def fit_command(
         pick = np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
         X, y = X[pick], y[pick]
 
-    data = calibrate.LabeledFeatures(X=X, y=y, schema_id=ff.schema_id, feature_names=selected)
-    model = calibrate.fit_logistic(data, penalty)
+    model = calibrate.fit_logistic(X, y, penalty, schema_id=ff.schema_id, feature_names=selected)
     _write_json(output_path, calibrate.model_to_dict(model))
     return model
 
@@ -617,9 +622,9 @@ def synth_command(n: int, mode: str, seed: int, output_path) -> dict:
         sidecar.update({"w0": w0, "w1": w1})
     else:
         b0, b1, b2 = SIGNAL_WEIGHTS
-        X = rng.uniform(size=(n, schema.length))
+        X = rng.uniform(size=(n, len(schema.feature_names)))
         X[:, 0] = u
-        v = X[:, schema.feature_names().index(SIGNAL_FEATURE)]
+        v = X[:, schema.feature_names.index(SIGNAL_FEATURE)]
         q = calibrate.sigmoid(b0 + b1 * u + b2 * v)
         sidecar.update(
             {"weights": list(SIGNAL_WEIGHTS), "informative_feature": SIGNAL_FEATURE}

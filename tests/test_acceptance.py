@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sqlcalib import calibrate, metrics, pipeline
-from sqlcalib.calibrate import LabeledFeatures, apply_model, fit_logistic
+from sqlcalib.calibrate import apply_model, fit_logistic
 from sqlcalib.clausefreq import clause_frequencies, query_match, subquery_match
 from sqlcalib.parser import parse_sql
 from sqlcalib.querygen import generate_query
@@ -29,11 +29,10 @@ FIXTURE = Path(__file__).parent / "data" / "fixture_candidates.jsonl"
 def fit_on(ff, rows, columns=slice(None)):
     """The fit of ``fit`` on some rows and columns of a feature file; the
     first column alone, ``logit_prob``, is what ``fit --method ps`` fits."""
-    data = LabeledFeatures(
-        X=ff.X[rows, columns], y=ff.y[rows],
+    return fit_logistic(
+        ff.X[rows, columns], ff.y[rows],
         schema_id=ff.schema_id, feature_names=ff.feature_names[columns],
     )
-    return fit_logistic(data)
 
 
 def criterion(number, label):

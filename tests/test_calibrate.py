@@ -9,7 +9,6 @@ import pytest
 from sqlcalib import pipeline
 from sqlcalib.calibrate import (
     CalibratorModel,
-    LabeledFeatures,
     apply_model,
     fit_logistic,
     load_model,
@@ -25,7 +24,7 @@ def make_data(X, y, names=None):
     if X.shape[0] == 1 and len(y) > 1:
         X = X.T
     names = tuple(names or (f"f{i}" for i in range(X.shape[1])))
-    return LabeledFeatures(
+    return dict(
         X=X,
         y=np.asarray(y, dtype=float),
         schema_id="test",
@@ -35,7 +34,7 @@ def make_data(X, y, names=None):
 
 def platt_data(scores, labels):
     """Platt scaling's input: the logit of each score as the one feature."""
-    return LabeledFeatures(X=logit(scores)[:, None], y=np.asarray(labels, dtype=float))
+    return dict(X=logit(scores)[:, None], y=np.asarray(labels, dtype=float))
 
 
 def penalized_objective(Xd, y, w, reg):
@@ -61,7 +60,7 @@ def gradient_descent_oracle(X, y, penalty, lr=0.05, iters=300_000):
 class TestFitLogistic:
     def test_no_signal_symmetric_case(self):
         data = make_data(np.zeros((4, 1)), [0, 1, 0, 1])
-        model = fit_logistic(data)
+        model = fit_logistic(**data)
         assert model.intercept == pytest.approx(0.0, abs=1e-9)
         preds = apply_model(model, np.zeros((4, 1)))
         assert preds == pytest.approx([0.5] * 4, abs=1e-9)
@@ -69,7 +68,7 @@ class TestFitLogistic:
     def test_matches_gradient_descent_oracle_on_separable_pair(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([0.0, 1.0])
-        model = fit_logistic(make_data(X, y), penalty=1.0)
+        model = fit_logistic(**make_data(X, y), penalty=1.0)
         expected = gradient_descent_oracle(X, y, penalty=1.0)
         assert model.intercept == pytest.approx(expected[0], abs=1e-4)
         assert model.weights[0] == pytest.approx(expected[1], abs=1e-4)
@@ -81,7 +80,7 @@ class TestFitLogistic:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(120, 3))
         y = (rng.uniform(size=120) < sigmoid(X @ [1.0, -0.5, 0.2])).astype(float)
-        model = fit_logistic(make_data(X, y), penalty=2.0)
+        model = fit_logistic(**make_data(X, y), penalty=2.0)
         expected = gradient_descent_oracle(X, y, penalty=2.0)
         got = np.concatenate([[model.intercept], model.weights])
         assert got == pytest.approx(expected, abs=1e-4)
@@ -99,7 +98,7 @@ class TestFitLogistic:
                 if y.min() == y.max():
                     y[0] = 1.0 - y[0]
                 penalty = float(rng.choice([0.5, 1.0, 10.0]))
-                model = fit_logistic(make_data(X, y), penalty=penalty)
+                model = fit_logistic(**make_data(X, y), penalty=penalty)
                 w = np.concatenate([[model.intercept], model.weights])
                 Xd = np.concatenate([np.ones((n, 1)), X], axis=1)
                 reg = np.concatenate([[0.0], np.full(m, 1.0 / penalty)])
@@ -119,7 +118,7 @@ class TestFitLogistic:
         y = rng.integers(0, 2, size=80).astype(float)
         y[0] = 1 - y[0] if y.min() == y.max() else y[0]
         penalty = 1.0
-        model = fit_logistic(make_data(X, y), penalty=penalty)
+        model = fit_logistic(**make_data(X, y), penalty=penalty)
         Xd = np.concatenate([np.ones((80, 1)), X], axis=1)
         reg = np.concatenate([[0.0], np.full(4, 1.0 / penalty)])
         w = np.concatenate([[model.intercept], model.weights])
@@ -129,28 +128,28 @@ class TestFitLogistic:
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
-            fit_logistic(make_data([[0.1], [0.2]], [1, 1]))
+            fit_logistic(**make_data([[0.1], [0.2]], [1, 1]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFinite):
-            fit_logistic(make_data([[np.inf], [0.2]], [0, 1]))
+            fit_logistic(**make_data([[np.inf], [0.2]], [0, 1]))
 
     @pytest.mark.parametrize("penalty", [0.0, -1.0, float("nan"), float("inf")])
     def test_penalty_must_be_finite_and_positive(self, penalty):
         with pytest.raises(ValueError, match="penalty"):
-            fit_logistic(make_data([[0.1], [0.2]], [0, 1]), penalty)
+            fit_logistic(**make_data([[0.1], [0.2]], [0, 1]), penalty=penalty)
 
     def test_underdetermined_fit_warns(self):
         X = np.eye(3)
         with pytest.warns(UserWarning, match="unstable"):
-            fit_logistic(make_data(X, [0, 1, 1]))
+            fit_logistic(**make_data(X, [0, 1, 1]))
 
     def test_determinism(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(60, 5))
         y = rng.integers(0, 2, size=60).astype(float)
-        a = fit_logistic(make_data(X, y))
-        b = fit_logistic(make_data(X, y))
+        a = fit_logistic(**make_data(X, y))
+        b = fit_logistic(**make_data(X, y))
         assert a == b
 
 
@@ -175,7 +174,7 @@ class TestPlattFit:
         s = rng.uniform(size=n)
         q = sigmoid(0.5 + 2.0 * logit(s))
         y = (rng.uniform(size=n) < q).astype(float)
-        model = fit_logistic(platt_data(s, y))
+        model = fit_logistic(**platt_data(s, y))
         assert model.intercept == pytest.approx(0.5, abs=0.05)
         assert model.weights[0] == pytest.approx(2.0, abs=0.05)
 
@@ -183,7 +182,7 @@ class TestPlattFit:
         y = np.array([1] * 30 + [0] * 70, dtype=float)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # zero slope on a constant feature
-            model = fit_logistic(platt_data(np.full(100, 0.5), y))
+            model = fit_logistic(**platt_data(np.full(100, 0.5), y))
         pred = apply_model(model, logit(np.full(100, 0.5))[:, None])
         assert pred == pytest.approx(np.full(100, 0.3), abs=1e-3)
 
@@ -192,7 +191,7 @@ class TestPlattFit:
         s = np.array([0.9, 0.8, 0.1, 0.2])
         y = np.array([0, 0, 1, 1], dtype=float)
         with pytest.warns(UserWarning, match="slope"):
-            fit_logistic(platt_data(s, y))
+            fit_logistic(**platt_data(s, y))
 
 
 class TestMpsFit:
@@ -201,7 +200,7 @@ class TestMpsFit:
         X = rng.uniform(size=(300, 3))
         X[:, 1] = 0.42
         y = (rng.uniform(size=300) < sigmoid(3 * X[:, 0] - 1.5)).astype(float)
-        model = fit_logistic(make_data(X, y, names=("a", "const", "c")))
+        model = fit_logistic(**make_data(X, y, names=("a", "const", "c")))
         assert model.standardized_weights()["const"] == 0.0
 
     def test_informative_feature_dominates_standardized_weights(self):
@@ -211,7 +210,7 @@ class TestMpsFit:
             y = (rng.uniform(size=2000) < sigmoid(6 * X[:, 2] - 3)).astype(float)
             if y.min() == y.max():
                 continue
-            model = fit_logistic(make_data(X, y, names=("a", "b", "signal", "d")))
+            model = fit_logistic(**make_data(X, y, names=("a", "b", "signal", "d")))
             std = {k: abs(v) for k, v in model.standardized_weights().items()}
             assert std["signal"] == max(std.values()), f"seed {seed}"
 
@@ -263,7 +262,7 @@ class TestPersistence:
         X = rng.normal(size=(80, 3))
         y = rng.integers(0, 2, size=80).astype(float)
         y[0] = 1 - y[0] if y.min() == y.max() else y[0]
-        model = fit_logistic(make_data(X, y), penalty=0.7)
+        model = fit_logistic(**make_data(X, y), penalty=0.7)
         path = tmp_path / "model.json"
         pipeline._write_json(path, model_to_dict(model))
         assert load_model(path) == model

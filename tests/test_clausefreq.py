@@ -1,5 +1,6 @@
 """Matching algorithms, frequency scoring and feature assembly."""
 
+import hashlib
 import json
 import math
 import random
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from sqlcalib.calibrate import logit_of_log_prob
 from sqlcalib.clausefreq import (
+    BASE_SCHEMAS,
     MATCH_VECTOR_LEN,
     assemble_features,
     clause_frequencies,
@@ -260,7 +262,7 @@ class TestFeatureAssembly:
         schema = resolve_schema("mps-nb")
         values = assemble_features(tree, -0.7, {"nucleus": [tree], "beam": [tree]}, schema)
         assert len(values) == 41
-        assert len(values) == schema.length
+        assert len(values) == len(schema.feature_names)
 
     def test_missing_required_pool(self):
         tree = q("select a from b")
@@ -288,12 +290,34 @@ class TestFeatureAssembly:
         assert values[1:] == (0.8, 3.4)  # sorted extra order
 
     def test_schema_lengths(self):
-        assert resolve_schema("ps").length == 1
-        assert resolve_schema("mps-nucleus").length == 21
-        assert resolve_schema("mps-beam").length == 21
-        assert resolve_schema("mps-nb").length == 41
-        assert len(resolve_schema("mps-nb").feature_names()) == 41
+        assert len(resolve_schema("ps").feature_names) == 1
+        assert len(resolve_schema("mps-nucleus").feature_names) == 21
+        assert len(resolve_schema("mps-beam").feature_names) == 21
+        assert len(resolve_schema("mps-nb").feature_names) == 41
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(SchemaMismatch):
             resolve_schema("mps-everything")
+
+
+# sha256 of json.dumps([[schema_id, [feature names]], ...]) over SCHEMA_IDS
+SCHEMA_IDS = ("ps", "mps-nucleus", "mps-beam", "mps-nb", "ps+perplexity+p_true", "mps-nb+z+a")
+SCHEMA_LAYOUT_SHA256 = "548042709da3314bf15d3c74d3c894c520092128b41746e80d77ae942c99c8c3"
+
+
+class TestSchemaLayout:
+    def test_layouts_are_unchanged(self):
+        layout = [[s.schema_id, list(s.feature_names)] for s in map(resolve_schema, SCHEMA_IDS)]
+        digest = hashlib.sha256(json.dumps(layout).encode()).hexdigest()
+        assert digest == SCHEMA_LAYOUT_SHA256
+
+    @given(
+        base=st.sampled_from(sorted(BASE_SCHEMAS)),
+        extras=st.lists(
+            st.from_regex(r"[a-z][a-z_]{0,7}", fullmatch=True), unique=True, max_size=5
+        ),
+    )
+    def test_id_is_canonical_and_names_fill_the_layout(self, base, extras):
+        schema = resolve_schema("+".join([base, *extras]))
+        assert schema.schema_id == "+".join([base, *sorted(extras)])
+        assert len(schema.feature_names) == 1 + 20 * len(schema.sources) + len(extras)

@@ -125,6 +125,25 @@ def test_first_bad_value_of_a_row_is_named(tmp_path):
     assert str(info.value) == "line 3: values must be finite numbers, got nan"
 
 
+def test_non_canonical_schema_id_is_rejected(tmp_path):
+    """The names follow the canonical (sorted) id, the values the file's
+    order, so an id with its extras out of order would misname columns."""
+    rows = [{**ROW, "id": f"r{k}", "schema_id": "ps+zeta+alpha", "values": [0.1, 0.2, 0.3]}
+            for k in range(3)]
+    with pytest.raises(SchemaError) as info:
+        pipeline.load_features(_write_rows(tmp_path / "f.jsonl", rows))
+    assert str(info.value) == (
+        "line 1: schema_id 'ps+zeta+alpha' is not canonical; expected 'ps+alpha+zeta'"
+    )
+
+
+def test_repeated_names_are_named_before_the_spelling(tmp_path):
+    rows = [{**ROW, "schema_id": "ps+z+a+a", "values": [0.1, 0.2, 0.3, 0.4]}]
+    with pytest.raises(SchemaError) as info:
+        pipeline.load_features(_write_rows(tmp_path / "f.jsonl", rows))
+    assert str(info.value) == "feature schema 'ps+a+a+z' repeats feature names ['a']"
+
+
 # -- the scored-line template -------------------------------------------------
 
 TEXT = st.text(st.characters(codec="utf-8"), max_size=6) | st.sampled_from(

@@ -275,7 +275,7 @@ class TestFeaturize:
         for record in records:
             if record.id not in failed:
                 row = rows[record.id]
-                by_name = dict(zip(resolve_schema(row["schema_id"]).feature_names(), row["values"]))
+                by_name = dict(zip(resolve_schema(row["schema_id"]).feature_names, row["values"]))
                 extras = record.extra_features or {}
                 assert {name: by_name.get(name) for name in extras} == extras
         accounted = summary.used + summary.unusable + summary.failed
