@@ -4,16 +4,12 @@ Platt scaling (PS) and multivariate Platt scaling (MPS) are one fit:
 ``fit_logistic`` learns sigmoid(w0 + w . x) under a ridge penalty, and PS
 is that fit on the ``logit_prob`` column alone, the logit of the model's
 own probability. Weights are learned on a held-out calibration split,
-never on the split being evaluated.
-
-The module owns the toolkit's one clipping policy: every probability it
-derives or returns lies in [PROB_EPS, 1 - PROB_EPS], and every logit it
-derives is the logit of such a probability.
+never on the split being evaluated. ``logit`` and ``apply_model`` clip
+by the toolkit's one policy, which lives in ``probability``.
 """
 
 import json
 import math
-import sys
 import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
@@ -21,11 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFinite, SchemaError, SchemaMismatch, SingleClass
-
-PROB_EPS = 1e-12
-_LOG_EPS = math.log(PROB_EPS)
-_LOG_ONE_MINUS_EPS = math.log1p(-PROB_EPS)
-_LOGIT_MAX = math.log((1.0 - PROB_EPS) / PROB_EPS)
+from .probability import PROB_EPS, finite_float
 
 # Convergence bound on the penalized gradient's infinity norm. Tightening
 # it further is futile on large fits: the objective's float resolution
@@ -55,14 +47,6 @@ class CalibratorModel:
         }
 
 
-def finite_float(value) -> float | None:
-    """``value`` as a finite float; None for bools, non-numbers, NaN and infinities."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    # exact comparison: NaN and ints past the float range fail without converting
-    return float(value) if -sys.float_info.max <= value <= sys.float_info.max else None
-
-
 def sigmoid(z):
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
@@ -76,25 +60,6 @@ def sigmoid(z):
 def logit(p):
     p = np.clip(np.asarray(p, dtype=float), PROB_EPS, 1.0 - PROB_EPS)
     return np.log(p / (1.0 - p))
-
-
-def logit_of_log_prob(sum_log_prob: float) -> float:
-    """Sequence log-probability -> logit of the clipped probability.
-
-    Working in log space (expm1 for 1 - p) avoids the cancellation a
-    naive exp-then-logit would hit near probability 1.
-    """
-    if sum_log_prob <= _LOG_EPS:
-        return -_LOGIT_MAX
-    if sum_log_prob >= _LOG_ONE_MINUS_EPS:
-        return _LOGIT_MAX
-    return sum_log_prob - math.log(-math.expm1(sum_log_prob))
-
-
-def prob_of_log_prob(sum_log_prob: float) -> float:
-    """Sequence log-probability -> the clipped probability."""
-    p = math.exp(min(sum_log_prob, 0.0))
-    return min(max(p, PROB_EPS), 1.0 - PROB_EPS)
 
 
 def fit_logistic(

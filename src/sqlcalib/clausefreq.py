@@ -11,8 +11,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .calibrate import finite_float, logit_of_log_prob
 from .errors import EmptyPool, SchemaError, SchemaMismatch
+from .probability import finite_float, logit_of_log_prob
 from .sqlast import CLAUSE_KINDS, QueryTree, SelectStatement, decompose
 
 MATCH_VECTOR_LEN = 19  # 1 set-op + 9 clauses per root subquery
@@ -100,6 +100,10 @@ BASE_SCHEMAS = {
     "mps-beam": ("beam",),
     "mps-nb": ("nucleus", "beam"),
 }
+# the CLI's other choice lists, stated here so that parsing its flags needs no numpy
+SOURCES = ("nucleus", "beam")
+METHODS = ("ps", "mps")
+SYNTH_MODES = ("calibrated", "platt", "mps-signal")
 
 
 def resolve_schema(schema_id: str) -> FeatureSchema:

@@ -11,8 +11,7 @@ import argparse
 import json
 import sys
 
-from . import pipeline
-from .clausefreq import BASE_SCHEMAS
+from .clausefreq import BASE_SCHEMAS, METHODS, SOURCES, SYNTH_MODES
 from .errors import SqlCalibError
 from .parser import parse_sql
 from .sqlast import SelectStatement, canonicalize, decompose, extract_clauses
@@ -51,13 +50,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--schema", choices=list(BASE_SCHEMAS), default="mps-nb")
-    p.add_argument("--scope", choices=[*pipeline.SOURCES, "union"], default="union")
+    p.add_argument("--scope", choices=[*SOURCES, "union"], default="union")
     common(p)
 
     p = sub.add_parser("fit", help="fit a calibrator on a feature file")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--method", choices=pipeline.METHODS, default="mps")
+    p.add_argument("--method", choices=METHODS, default="mps")
     p.add_argument("--penalty", type=float, default=1.0)
     p.add_argument("--mask", help="keep:names or drop:names (globs allowed)")
     p.add_argument("--subsample-fraction", type=float)
@@ -89,13 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write a synthetic feature file")
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--mode", choices=pipeline.SYNTH_MODES, default="calibrated")
+    p.add_argument("--mode", choices=SYNTH_MODES, default="calibrated")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     common(p)
 
-    # a config file may serve several commands, so it may hold any command's flags
-    top.set_defaults(_config_keys={a.dest for cmd in sub.choices.values() for a in cmd._actions})
+    # a config file may serve several commands, so it may hold any command's flags;
+    # "help" and "config" are argparse's and the file's own, never entries
+    keys = {a.dest for cmd in sub.choices.values() for a in cmd._actions} - {"help", "config"}
+    top.set_defaults(_config_keys=keys)
     return top
 
 
@@ -134,6 +135,8 @@ def run(args: argparse.Namespace) -> int:
         }
         print(json.dumps(doc, indent=2))
         return 0
+
+    from . import pipeline  # numpy loads here, so parse and usage errors never pay for it
 
     if cmd == "featurize":
         summary = pipeline.featurize_command(args.input, args.output, args.schema, args.scope)

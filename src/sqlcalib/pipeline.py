@@ -19,8 +19,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import calibrate, metrics
-from .calibrate import finite_float, prob_of_log_prob
-from .clausefreq import FeatureSchema, assemble_features, resolve_schema
+from .clausefreq import METHODS, SOURCES, SYNTH_MODES, FeatureSchema, assemble_features, resolve_schema
 from .errors import (
     EmptyPool,
     IdMismatch,
@@ -31,9 +30,8 @@ from .errors import (
     SchemaMismatch,
 )
 from .parser import parse_sql
+from .probability import finite_float, prob_of_log_prob
 from .sqlast import QueryTree
-
-SOURCES = ("nucleus", "beam")
 
 
 @dataclass
@@ -379,8 +377,6 @@ def load_features(path) -> FeatureFile:
 
 # -- fitting ----------------------------------------------------------------
 
-METHODS = ("ps", "mps")
-
 
 def parse_mask(mask: str, names: tuple[str, ...]) -> tuple[str, ...]:
     """Resolve a "keep:..." or "drop:..." glob list against feature names."""
@@ -591,7 +587,6 @@ def compare_command(
 
 # -- synthetic data ------------------------------------------------------------
 
-SYNTH_MODES = ("calibrated", "platt", "mps-signal")
 PLATT_TRUE_WEIGHTS = (0.5, 2.0)
 SIGNAL_WEIGHTS = (-1.5, 0.35, 3.0)  # intercept, logit-prob slope, informative slope
 SIGNAL_FEATURE = "nucleus.agg"

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqlcalib.calibrate import logit_of_log_prob
 from sqlcalib.clausefreq import (
     BASE_SCHEMAS,
     MATCH_VECTOR_LEN,
@@ -24,6 +23,7 @@ from sqlcalib.clausefreq import (
 from sqlcalib.errors import EmptyPool, ParseError, SchemaMismatch
 from sqlcalib.parser import parse_sql
 from sqlcalib.pipeline import featurize_command
+from sqlcalib.probability import logit_of_log_prob
 from sqlcalib.querygen import generate_query
 from sqlcalib.sqlast import CLAUSE_KINDS, decompose
 

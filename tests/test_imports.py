@@ -1,7 +1,11 @@
 """Every name a module of the package imports is used in that module, and
-every name it defines at top level is used somewhere in the repository."""
+every name it defines at top level is used somewhere in the repository.
+The command line's import, its argument parsing and `parse` load no numpy."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +91,70 @@ def test_a_dead_module_name_is_found():
     source = "A = 1\nB: int = 2\ndef f():\n    return A\nclass C:\n    pass\n"
     used = _referenced_names([source, "from m import C\nx.f()\n"])
     assert _dead_names(source, used) == ["line 2: B"]
+
+
+# Modules that import without numpy, so `import sqlcalib.cli`, `parse` and
+# argument errors never load it: none may import numpy, or a package module
+# outside this list, except inside a function.
+NUMPY_FREE = (
+    "__init__", "cli", "clausefreq", "errors", "lexer", "parser", "probability", "querygen",
+    "sqlast",
+)
+
+
+def _import_time_imports(source: str) -> list[tuple[str, int]]:
+    """(module, line) of every import outside a function body, so run at import
+    time; a package module is named by its stem, any other by its top name."""
+    found, stack = [], list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(alias.name.split(".")[0], node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "sqlcalib"):
+            found += [(alias.name, node.lineno) for alias in node.names]  # from . import x
+        elif isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".")
+            in_package = node.level or parts[0] == "sqlcalib"
+            found.append((parts[-1] if in_package else parts[0], node.lineno))
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found, key=lambda pair: pair[1])
+
+
+@pytest.mark.parametrize("stem", NUMPY_FREE)
+def test_numpy_free_modules_import_nothing_that_loads_numpy(stem):
+    source = (PACKAGE / f"{stem}.py").read_text(encoding="utf-8")
+    heavy = {"numpy"} | {p.stem for p in MODULES} - set(NUMPY_FREE)
+    assert [f"line {line}: {name}" for name, line in _import_time_imports(source)
+            if name in heavy] == [], f"sqlcalib.{stem} loads numpy when imported"
+
+
+def test_an_import_time_import_is_found():
+    source = (
+        "import numpy.linalg\nfrom . import pipeline\nfrom .calibrate import x\n"
+        "from sqlcalib.metrics import y\nfrom sqlcalib import calibrate\nif x:\n    import json\n"
+        "def f():\n    from . import pipeline\n"
+    )
+    assert _import_time_imports(source) == [
+        ("numpy", 1), ("pipeline", 2), ("calibrate", 3), ("metrics", 4), ("calibrate", 5), ("json", 7)
+    ]
+
+
+def test_cli_parse_help_and_usage_errors_run_without_numpy():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import sqlcalib.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [sqlcalib.cli.main(['parse', 'SELECT a FROM b']), sqlcalib.cli.main(['fit'])]\n"
+        "    try:\n"
+        "        sqlcalib.cli.main(['fit', '--help'])\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 1, 0], False]

@@ -889,6 +889,17 @@ class TestConfig:
         assert repr(list(config)[-1]) in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("config", [{"help": 1}, {"config": "other.json"}])
+    def test_help_and_config_are_not_keys(self, tmp_path, capsys, config):
+        path, feats, out = tmp_path / "c.json", tmp_path / "f.jsonl", tmp_path / "out"
+        pipeline.synth_command(50, "calibrated", 0, feats)
+        path.write_text(json.dumps(config))
+        assert main(["evaluate", "--input", str(feats), "--output", str(out),
+                     "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and f"unknown key {list(config)[0]!r}" in err
+        assert not out.exists()
+
     def test_keys_of_other_commands_are_ignored(self, feature_files, tmp_path):
         path, model = tmp_path / "config.json", tmp_path / "m.json"
         path.write_text(json.dumps({"penalty": 0.5, "bins": 5, "scope": "beam", "n": 3}))
