@@ -4,6 +4,17 @@
 class SqlCalibError(Exception):
     """Base class for all toolkit errors."""
 
+    def __reduce__(self):
+        # rebuilt without __init__, whose parameters differ between subclasses,
+        # so an error raised in a worker process reaches the parent intact
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, state):
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return exc
+
 
 class ParseError(SqlCalibError):
     """Input SQL is outside the supported grammar subset or malformed.

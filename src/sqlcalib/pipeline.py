@@ -8,11 +8,16 @@ in a sidecar summary so that input lines are always fully accounted for.
 import json
 import math
 import os
+import time
 import warnings
 from array import array
+from collections import deque
+from contextlib import ExitStack
 from dataclasses import asdict, astuple, dataclass, field, fields
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
+from operator import iadd
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -55,25 +60,45 @@ class CandidateRecord:
     def usable(self) -> bool:
         return any(c.tree is not None for c in self.candidates)
 
+    @property
+    def clipped(self) -> bool:
+        """True if a candidate's probability will be clipped to 1 - PROB_EPS."""
+        return any(c.sum_log_prob > 0 for c in self.candidates)
+
+
+CANDIDATE_FIELDS = ("id", "label", "candidates")
+CLIPPED = "sum_log_prob > 0; probability will be clipped"
+
 
 def iter_jsonl(path, required=()):
     """Yield ``(lineno, doc)`` per non-blank line; each must be a JSON object
-    holding the ``required`` fields. The one place input lines are decoded."""
-    with open(path, "rb") as fh:  # bytes, so bad UTF-8 is a JsonError on its own line
+    holding the ``required`` fields."""
+    for lineno, line in _lines(path):
+        yield lineno, _decode(line, lineno, required)
+
+
+def _lines(path) -> Iterator[tuple[int, bytes]]:
+    """``(lineno, line)`` per non-blank line, as bytes, so bad UTF-8 is a
+    JsonError on its own line."""
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line.decode())
-            except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
-                raise JsonError(str(exc), lineno) from exc
-            if not isinstance(doc, dict):
-                kind = type(doc).__name__
-                raise SchemaError(f"line {lineno}: expected a JSON object, got {kind}")
-            for key in required:
-                if key not in doc:
-                    raise SchemaError(f"line {lineno}: missing field {key!r}")
-            yield lineno, doc
+            if line.strip():
+                yield lineno, line
+
+
+def _decode(line: bytes, lineno: int, required=()) -> dict:
+    """One input line as a JSON object holding the ``required`` fields: the
+    one place input lines are decoded."""
+    try:
+        doc = json.loads(line.decode())
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
+        raise JsonError(str(exc), lineno) from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"line {lineno}: expected a JSON object, got {type(doc).__name__}")
+    for key in required:
+        if key not in doc:
+            raise SchemaError(f"line {lineno}: missing field {key!r}")
+    return doc
 
 
 # type(), not isinstance(): JSON decodes to exact types, and a bool (an int) must fail
@@ -124,8 +149,11 @@ def iter_candidates(path) -> Iterator[CandidateRecord]:
     per-candidate failure count is stored on each record so callers can
     report it. Structural problems in the file itself raise immediately.
     """
-    for lineno, doc in iter_jsonl(path, ("id", "label", "candidates")):
-        yield _record_from_doc(doc, lineno)
+    for lineno, doc in iter_jsonl(path, CANDIDATE_FIELDS):
+        record = _record_from_doc(doc, lineno)
+        if record.clipped:  # a constant text, so the warnings registry holds it once
+            warnings.warn(CLIPPED, stacklevel=2)
+        yield record
 
 
 def load_candidates(path) -> list[CandidateRecord]:
@@ -163,8 +191,6 @@ def _record_from_doc(doc: dict, lineno: int) -> CandidateRecord:
         lp = finite_float(c["sum_log_prob"])
         if lp is None:
             raise SchemaError(f"line {lineno}: candidate {i} sum_log_prob must be finite")
-        if lp > 0:  # a constant text, so the warnings registry and stderr hold it once
-            warnings.warn("sum_log_prob > 0; probability will be clipped", stacklevel=3)
         if c["source"] not in SOURCES:
             raise SchemaError(
                 f"line {lineno}: candidate {i} source must be one of {SOURCES}"
@@ -210,6 +236,11 @@ def choose_primary(record: CandidateRecord, scope: str = "union") -> Candidate:
 
 # -- featurization --------------------------------------------------------
 
+CHUNK_RECORDS = 25  # records per featurize task: about 0.1 s of parsing, 100 KB to pickle
+# Starting and stopping two spawned workers, each importing numpy, takes about
+# 0.5 s (2-vCPU VM), so with two CPUs a pool pays only past twice that much work.
+POOL_MIN_SECONDS = 1.0
+
 
 @dataclass
 class RunSummary:
@@ -219,6 +250,23 @@ class RunSummary:
     failed: int = 0
     candidate_parse_failures: int = 0
     failures: list = field(default_factory=list)
+
+    def add(self, later: "RunSummary") -> None:
+        """Count the records of ``later``, which come after this summary's."""
+        for f in fields(self):  # iadd: += on every field, so the list extends in place
+            setattr(self, f.name, iadd(getattr(self, f.name), getattr(later, f.name)))
+
+
+@dataclass
+class _Chunk:
+    """Records featurized in file order: their rows, their counts, the
+    extras layout (None until a usable record fixes it), and whether a
+    probability was clipped."""
+
+    layout: Optional[FeatureSchema]
+    summary: RunSummary = field(default_factory=RunSummary)
+    rows: list = field(default_factory=list)
+    clipped: bool = False
 
 
 def featurize_records(
@@ -235,17 +283,23 @@ def featurize_records(
     run, an empty one included (names sorted, appended after the standard
     block); a later record whose extra names differ from it fails on its own.
     """
-    base = resolve_schema(schema_id)
-    schema: Optional[FeatureSchema] = None
+    yield from _featurize(records, resolve_schema(schema_id), scope, _Chunk(None, summary))
+
+
+def _featurize(records, base: FeatureSchema, scope: str, done: _Chunk) -> Iterator[dict]:
+    """Rows of ``records`` under ``done.layout``, fixed from ``base`` by the
+    first usable record if unset; each record is counted in ``done``."""
+    summary = done.summary
     for record in records:
         summary.input_records += 1
         summary.candidate_parse_failures += record.parse_failures
+        done.clipped = done.clipped or record.clipped
         if not record.usable:
             summary.unusable += 1
             summary.failures.append({"id": record.id, "reason": "no candidate parses"})
             continue
-        if schema is None:
-            schema = resolve_schema("+".join([base.schema_id, *(record.extra_features or ())]))
+        if done.layout is None:
+            done.layout = resolve_schema("+".join([base.schema_id, *(record.extra_features or ())]))
         try:
             primary = choose_primary(record, scope)
             # a source with only unparseable samples stays present but empty,
@@ -256,7 +310,7 @@ def featurize_records(
                 if any(c.source == src for c in record.candidates)
             }
             values = assemble_features(
-                primary.tree, primary.sum_log_prob, pools, schema, record.extra_features
+                primary.tree, primary.sum_log_prob, pools, done.layout, record.extra_features
             )
         except (NoUsableCandidate, EmptyPool, SchemaMismatch) as exc:
             summary.failed += 1
@@ -264,15 +318,92 @@ def featurize_records(
             continue
         summary.used += 1
         prob = prob_of_log_prob(primary.sum_log_prob)
-        yield _feature_row(record.id, record.label, record.group, schema.schema_id, values, prob)
+        schema_id = done.layout.schema_id
+        yield _feature_row(record.id, record.label, record.group, schema_id, values, prob)
+
+
+def _featurize_chunk(
+    lines, base: FeatureSchema, layout: Optional[FeatureSchema], scope: str
+) -> _Chunk:
+    """Featurize ``(lineno, line)`` pairs of a candidate file: decode, check,
+    parse and match each record. Runs in a worker process, or in the parent."""
+    done = _Chunk(layout)
+    records = (
+        _record_from_doc(_decode(line, lineno, CANDIDATE_FIELDS), lineno) for lineno, line in lines
+    )
+    done.rows.extend(_featurize(records, base, scope, done))
+    return done
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _featurized_chunks(path, base: FeatureSchema, scope: str, stack: ExitStack) -> Iterator[_Chunk]:
+    """The candidate file featurized in chunks of CHUNK_RECORDS, in file order.
+
+    The parent featurizes chunks itself until a usable record fixes the
+    extras layout. The rest go to a pool of worker processes, one per CPU,
+    whose shutdown ``stack`` owns; at most two chunks per worker are in
+    flight, so memory stays flat in input size. With one CPU, one chunk
+    left, or less than POOL_MIN_SECONDS of work left at the pace of the
+    parent's chunks, no pool starts and the parent runs the rest itself.
+    """
+    lines = _lines(path)
+    chunks = iter(lambda: list(islice(lines, CHUNK_RECORDS)), [])  # up to the first empty one
+    start, read = time.perf_counter(), 0
+    for chunk in chunks:
+        done = _featurize_chunk(chunk, base, None, scope)
+        read += sum(len(line) for _, line in chunk)
+        yield done
+        if done.layout is not None:
+            break
+    else:
+        return
+    seconds_left = (time.perf_counter() - start) * (os.path.getsize(path) - read) / read
+    layout, cpus = done.layout, _cpus()
+    ahead = list(islice(chunks, 2 * cpus))
+    if cpus == 1 or len(ahead) < 2 or seconds_left < POOL_MIN_SECONDS:
+        for chunk in chain(ahead, chunks):
+            yield _featurize_chunk(chunk, base, layout, scope)
+        return
+    import multiprocessing  # here, so only a run that starts a pool imports them
+    from concurrent.futures import ProcessPoolExecutor
+
+    # spawn, not fork: numpy's BLAS threads are running in this process
+    pool = stack.enter_context(
+        ProcessPoolExecutor(min(cpus, len(ahead)), mp_context=multiprocessing.get_context("spawn"))
+    )
+    submit = partial(pool.submit, _featurize_chunk, base=base, layout=layout, scope=scope)
+    in_flight = deque(map(submit, ahead))
+    while in_flight:
+        done = in_flight.popleft().result()
+        in_flight.extend(map(submit, islice(chunks, 1)))
+        yield done
+
+
+def _rows(chunks: Iterable[_Chunk], summary: RunSummary) -> Iterator[dict]:
+    """The rows of featurized chunks, counting each chunk in ``summary`` and
+    warning if a probability is clipped."""
+    for done in chunks:
+        summary.add(done.summary)
+        if done.clipped:  # a constant text, so the warnings registry holds it once
+            warnings.warn(CLIPPED)
+        yield from done.rows
 
 
 def featurize_command(input_path, output_path, schema_id: str, scope: str = "union") -> RunSummary:
     """Stream records into feature rows and the rows into the output file, so
-    memory stays flat in input size; a data error leaves no output file."""
+    memory stays flat in input size; a data error leaves no output file.
+    Records are featurized on every CPU this process may use, and the rows,
+    summary and warnings are those of a serial run."""
     summary = RunSummary()
-    records = iter_candidates(input_path)
-    _write_jsonl(output_path, featurize_records(records, schema_id, scope, summary=summary))
+    with ExitStack() as stack:  # shuts a worker pool down on every path
+        chunks = _featurized_chunks(input_path, resolve_schema(schema_id), scope, stack)
+        _write_jsonl(output_path, _rows(chunks, summary))
     _write_json(str(output_path) + ".summary.json", asdict(summary))
     return summary
 
