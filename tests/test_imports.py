@@ -99,7 +99,7 @@ def test_a_dead_module_name_is_found():
 # outside this list, except inside a function.
 NUMPY_FREE = (
     "__init__", "cli", "clausefreq", "errors", "lexer", "parser", "probability", "querygen",
-    "sqlast",
+    "records", "sqlast",
 )
 
 

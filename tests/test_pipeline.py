@@ -25,6 +25,7 @@ from sqlcalib.errors import (
 )
 from sqlcalib.parser import parse_sql
 from sqlcalib.querygen import generate_candidate_records
+from sqlcalib.records import Candidate, CandidateRecord, choose_primary
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_candidates.jsonl"
 EXTRAS = st.none() | st.dictionaries(st.sampled_from(["p", "q", "r"]), st.floats(-1e6, 1e6))
@@ -139,14 +140,14 @@ class TestChoosePrimary:
         record = self.load_one(tmp_path, [
             {"sql": "select a from b", "sum_log_prob": -2.0, "source": "beam"}
         ])
-        assert pipeline.choose_primary(record).sum_log_prob == -2.0
+        assert choose_primary(record).sum_log_prob == -2.0
 
     def test_highest_probability_wins(self, tmp_path):
         record = self.load_one(tmp_path, [
             {"sql": "select a from b", "sum_log_prob": -2.0, "source": "beam"},
             {"sql": "select c from d", "sum_log_prob": -1.0, "source": "beam"},
         ])
-        assert pipeline.choose_primary(record).sql == "select c from d"
+        assert choose_primary(record).sql == "select c from d"
 
     def test_unparseable_best_is_skipped(self, tmp_path):
         record = self.load_one(tmp_path, [
@@ -154,26 +155,26 @@ class TestChoosePrimary:
             {"sql": "select ok from t", "sum_log_prob": -0.9, "source": "nucleus"},
             {"sql": "select worse from t", "sum_log_prob": -1.5, "source": "beam"},
         ])
-        assert pipeline.choose_primary(record).sql == "select ok from t"
+        assert choose_primary(record).sql == "select ok from t"
 
     def test_scope_filters_sources(self, tmp_path):
         record = self.load_one(tmp_path, [
             {"sql": "select a from t", "sum_log_prob": -0.2, "source": "nucleus"},
             {"sql": "select b from t", "sum_log_prob": -0.5, "source": "beam"},
         ])
-        assert pipeline.choose_primary(record, "beam").sql == "select b from t"
+        assert choose_primary(record, "beam").sql == "select b from t"
         with pytest.raises(NoUsableCandidate):
             record2 = self.load_one(tmp_path, [
                 {"sql": "select a from t", "sum_log_prob": -0.2, "source": "nucleus"}
             ])
-            pipeline.choose_primary(record2, "beam")
+            choose_primary(record2, "beam")
 
     def test_tie_keeps_first_candidate(self, tmp_path):
         record = self.load_one(tmp_path, [
             {"sql": "select a from t", "sum_log_prob": -1.0, "source": "beam"},
             {"sql": "select b from t", "sum_log_prob": -1.0, "source": "beam"},
         ])
-        assert pipeline.choose_primary(record).sql == "select a from t"
+        assert choose_primary(record).sql == "select a from t"
 
 
 class TestFeaturize:
@@ -263,9 +264,9 @@ class TestFeaturize:
         sql = "select a from b"
         tree = parse_sql(sql)
         records = [
-            pipeline.CandidateRecord(
+            CandidateRecord(
                 id=f"r{k}", label=k % 2, extra_features=extras,
-                candidates=[pipeline.Candidate(sql, -0.5, "nucleus", tree if parses else None)],
+                candidates=[Candidate(sql, -0.5, "nucleus", tree if parses else None)],
             )
             for k, (extras, parses) in enumerate(drawn)
         ]

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from sqlcalib import errors, pipeline
+from sqlcalib.clausefreq import resolve_schema
 from sqlcalib.errors import SqlCalibError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -166,6 +167,32 @@ def test_error_in_the_last_chunk_is_raised_as_in_one_process(featurize, tmp_path
         assert [p for p in tmp_path.rglob("*") if p.is_file() and p.parent != tmp_path] == []
     assert raised[0] == raised[1]
     assert f"line {lineno}:" in raised[0][1]
+
+
+def test_a_spawned_worker_featurizes_a_chunk_without_numpy():
+    first = CHUNK + 70  # records 66 to 90: one clipped, one failed
+    chunk = [(i, line.encode()) for i, line in enumerate(mixed_lines()[first:first + CHUNK], first)]
+    base, layout = resolve_schema("mps-nb"), resolve_schema("mps-nb+p_true")
+    task = pickle.dumps((pipeline._featurize_chunk, chunk, base, layout, "union"))  # as submit sends it
+    assert b"sqlcalib.records" in task and b"sqlcalib.pipeline" not in task
+    code = (
+        "import pickle, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "fn, chunk, base, layout, scope = pickle.loads(sys.stdin.buffer.read())\n"
+        "done = fn(chunk, base=base, layout=layout, scope=scope)\n"
+        "loaded = sorted(name for name in sys.modules if name.startswith('sqlcalib.'))\n"
+        "sys.stdout.buffer.write(pickle.dumps((done, 'numpy' in sys.modules, loaded)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")], input=task,
+                          capture_output=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr.decode()
+    done, numpy_loaded, loaded = pickle.loads(proc.stdout)
+    assert not numpy_loaded
+    assert loaded == [f"sqlcalib.{m}" for m in (
+        "clausefreq", "errors", "lexer", "parser", "probability", "records", "sqlast")]
+    here = pipeline._featurize_chunk(chunk, base, layout, "union")
+    assert (done.rows, done.summary, done.clipped) == (here.rows, here.summary, here.clipped)
+    assert (done.summary.used, done.summary.failed, done.clipped) == (CHUNK - 1, 1, True)
 
 
 def test_clipping_warning_is_printed_once_as_in_one_process(tmp_path):
