@@ -15,7 +15,7 @@ from .errors import EmptyPool, SchemaError, SchemaMismatch
 from .probability import finite_float, logit_of_log_prob
 from .sqlast import CLAUSE_KINDS, QueryTree, SelectStatement, decompose
 
-MATCH_VECTOR_LEN = 19  # 1 set-op + 9 clauses per root subquery
+MATCH_VECTOR_LEN = 1 + 2 * len(CLAUSE_KINDS)
 
 _ALL = (1,) * len(CLAUSE_KINDS)
 _NONE = (0,) * len(CLAUSE_KINDS)

@@ -116,6 +116,13 @@ def _config_entry(flag: argparse.Action, key: str, value):
     return value
 
 
+def _print(text: str) -> None:
+    """Print a line holding input names, which may be any JSON string: what
+    stdout's encoding cannot hold (a lone surrogate) prints escaped, ``\\ud800``."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def _tree_json(tree):
     if isinstance(tree, SelectStatement):
         return {"select": extract_clauses(tree)}
@@ -158,7 +165,7 @@ def run(args: argparse.Namespace) -> int:
             subsample_count=args.subsample_count,
             seed=args.seed,
         )
-        print(pipeline.standardized_weight_table(model))
+        _print(pipeline.standardized_weight_table(model))
         print(f"model written with {len(model.weights)} weights (+ intercept)")
         return 0
 
@@ -174,7 +181,7 @@ def run(args: argparse.Namespace) -> int:
         groups = ((f"  group={name} ", rep) for name, rep in reports["groups"].items())
         for prefix, rep in [("", reports["overall"]), *groups]:
             auc = "n/a" if rep.auc is None else f"{rep.auc:.4f}"
-            print(
+            _print(
                 f"{prefix}n={rep.n} brier={rep.brier:.4f} ece={rep.ece:.4f} "
                 f"ace={rep.ace:.4f} auc={auc}"
             )

@@ -28,17 +28,19 @@ from .errors import IdMismatch, SchemaError, SchemaMismatch
 from .probability import finite_float
 from .records import (
     CLIPPED, CandidateRecord, RunSummary, _check_group, _check_id, _check_label, _check_prob,
-    _check_unique_ids, _Chunk, _feature_row, _featurize, _featurize_chunk, _lines,
-    iter_candidates, iter_jsonl,
+    _check_unique_ids, _Chunk, _feature_row, _featurize, _featurize_chunk, _lines, _records,
+    iter_jsonl,
 )
 
-# bound here for perfbench's tracer, which wraps them, until ROADMAP item 2 retargets it
+# parse_sql, assemble_features, load_candidates, featurize_records: for perfbench's
+# tracer, which wraps them, until ROADMAP item 1 retargets it
 parse_sql, assemble_features = records.parse_sql, records.assemble_features
 
 
 def load_candidates(path) -> list[CandidateRecord]:
-    """Every record of :func:`iter_candidates`; warns when there is none."""
-    records = list(iter_candidates(path))
+    """Every record of a candidate file, read through featurize's own ``_records``,
+    for the tests and perfbench's tracer; warns when there is none."""
+    records = list(_records(_lines(path)))
     if not records:
         warnings.warn(f"{path}: no records found", stacklevel=2)
     return records
@@ -60,13 +62,11 @@ def featurize_records(
     *,
     summary: RunSummary,
 ) -> Iterator[dict]:
-    """Yield one feature row per usable record, taking records one at a time
-    and counting each in ``summary``.
-
-    The first usable record fixes the extra-feature layout for the whole
-    run, an empty one included (names sorted, appended after the standard
-    block); a later record whose extra names differ from it fails on its own.
-    """
+    """Featurize's own ``_featurize``, for the tests and perfbench's tracer:
+    one feature row per usable record, each counted in ``summary``. The first
+    usable record fixes the extra-feature layout for the whole run, an empty
+    one included (names sorted, after the standard block); a later record
+    whose extra names differ from it fails on its own."""
     yield from _featurize(records, resolve_schema(schema_id), scope, _Chunk(None, summary))
 
 

@@ -4,7 +4,6 @@ when they unpickle ``_featurize_chunk``, so nothing here may import numpy."""
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 from operator import iadd
 from typing import Iterator, Optional
@@ -21,7 +20,7 @@ class Candidate:
     sql: str
     sum_log_prob: float
     source: str
-    tree: Optional[QueryTree] = None  # filled by the loader; None if unparseable
+    tree: Optional[QueryTree]  # None if unparseable
 
 
 @dataclass
@@ -119,18 +118,11 @@ def _check_prob(doc: dict, key: str, lineno: int) -> float:
     return value
 
 
-def iter_candidates(path) -> Iterator[CandidateRecord]:
-    """Candidate records of a file, one at a time, each candidate parsed.
-
-    Records whose candidates all fail to parse are kept but unusable; the
-    per-candidate failure count is stored on each record so callers can
-    report it. Structural problems in the file itself raise immediately.
-    """
-    for lineno, doc in iter_jsonl(path, CANDIDATE_FIELDS):
-        record = _record_from_doc(doc, lineno)
-        if record.clipped:  # a constant text, so the warnings registry holds it once
-            warnings.warn(CLIPPED, stacklevel=2)
-        yield record
+def _records(lines) -> Iterator[CandidateRecord]:
+    """The checked records of ``(lineno, line)`` pairs, their candidates parsed:
+    the one reader of candidate files. A record where none parses is unusable."""
+    for lineno, line in lines:
+        yield _record_from_doc(_decode(line, lineno, CANDIDATE_FIELDS), lineno)
 
 
 def _record_from_doc(doc: dict, lineno: int) -> CandidateRecord:
@@ -272,10 +264,7 @@ def _featurize_chunk(
     """Featurize ``(lineno, line)`` pairs of a candidate file: decode, check,
     parse and match each record. Runs in a worker process, or in the parent."""
     done = _Chunk(layout)
-    records = (
-        _record_from_doc(_decode(line, lineno, CANDIDATE_FIELDS), lineno) for lineno, line in lines
-    )
-    done.rows.extend(_featurize(records, base, scope, done))
+    done.rows.extend(_featurize(_records(lines), base, scope, done))
     return done
 
 

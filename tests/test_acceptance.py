@@ -95,6 +95,7 @@ def test_calibrated_data_sanity(tmp_path):
     assert abs(report.brier - 1 / 6) <= 0.01
 
 
+@pytest.mark.slow  # ten 40k-row synth files written and loaded
 @criterion(5, "multivariate fit beats single-signal fit on 9+/10 seeds")
 def test_mps_dominates_ps_with_signal(tmp_path):
     mps_wins_brier = 0

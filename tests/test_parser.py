@@ -5,6 +5,7 @@ import random
 import pytest
 
 from sqlcalib.errors import ParseError
+from sqlcalib.lexer import KEYWORD, NUMBER, Token, tokenize
 from sqlcalib.parser import parse_sql
 from sqlcalib.querygen import generate_query
 from sqlcalib.sqlast import (
@@ -17,6 +18,14 @@ from sqlcalib.sqlast import (
 )
 
 from corpus import CAKE_COOKIE, CORPUS_ALL, PIPER_CUB
+
+
+class TestTokenize:
+    @pytest.mark.parametrize("number", ["1e10", "2.5E+12", ".5e-07"])
+    def test_number_with_a_multi_digit_exponent_is_one_token_as_written(self, number):
+        assert tokenize(f"SELECT {number} FROM t")[1:3] == [
+            Token(NUMBER, number, 7), Token(KEYWORD, "from", 8 + len(number))
+        ]
 
 
 class TestParse:

@@ -113,7 +113,7 @@ class TestLoadCandidates:
             {"sql": "select a from b", "sum_log_prob": 0.5, "source": "beam"}
         ])])
         with pytest.warns(UserWarning, match="clipped"):
-            pipeline.load_candidates(path)
+            pipeline.featurize_command(path, tmp_path / "f.jsonl", "ps")
 
     def test_positive_log_prob_warns_once_per_run(self, tmp_path):
         # one text for every candidate, so the warnings registry and stderr
@@ -309,7 +309,7 @@ class TestFeaturize:
 class TestStreaming:
     def test_featurize_records_takes_a_generator(self):
         summary = pipeline.RunSummary()
-        records = pipeline.iter_candidates(FIXTURE)
+        records = (record for record in pipeline.load_candidates(FIXTURE))
         rows = list(pipeline.featurize_records(records, "mps-nb", summary=summary))
         assert summary.input_records == 60
         assert len(rows) == summary.used
@@ -396,6 +396,7 @@ class TestInputValues:
     def test_bad_value_is_a_data_error(self, tmp_path, capsys, command, row):
         assert self.run_on(tmp_path, command, json.dumps(row)) == 2
         assert "line 2:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
     def test_non_string_schema_id_is_a_data_error(self, tmp_path, capsys):
         write_jsonl(tmp_path / "f.jsonl", [{**self.FEATURE_ROW, "schema_id": 5}])
@@ -551,6 +552,17 @@ class TestFit:
         )
         assert len(model.weights) == 40
         assert "nucleus.agg" not in model.feature_names
+
+    def test_mask_keep_fits_the_kept_columns_in_file_order(self, feature_files, tmp_path):
+        model = tmp_path / "m.json"
+        argv = ["fit", "--input", str(feature_files["nb"]), "--output", str(model),
+                "--mask", "keep:beam.sq1.where,nucleus.agg,logit_prob"]
+        assert main(argv) == 0
+        kept = ("logit_prob", "nucleus.agg", "beam.sq1.where")
+        fitted = calibrate.load_model(model)
+        assert fitted.feature_names == kept and len(fitted.weights) == 3
+        columns = pipeline.load_features(feature_files["nb"]).columns(kept)
+        assert fitted.feature_means == tuple(columns.mean(axis=0).tolist())
 
     def test_mask_glob_drops_clause_family(self, feature_files, tmp_path):
         model = pipeline.fit_command(
@@ -779,6 +791,8 @@ class TestModelFile:
             pytest.param({**GOOD_MODEL, "feature_scales": [math.nan]}, "feature_scales", id="nan-scale"),
             pytest.param(_model_without("feature_means"), "feature_means", id="no-means"),
             pytest.param("{", "not JSON", id="not-json"),
+            pytest.param({**GOOD_MODEL, "schema_id": 7}, "schema_id must be a string",
+                         id="int-schema-id"),
         ],
     )
     def test_bad_model_is_a_data_error(self, feature_files, tmp_path, capsys, command, doc, named):
@@ -817,6 +831,105 @@ class TestModelFile:
         assert main(argv) == 2
         assert "overflow" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRejectedInputs:
+    """Inputs each command rejects before it writes anything. In ``argv``,
+    ``{in}`` is a file holding ``doc`` (JSONL rows for a list, else one JSON
+    document), and ``{nb}`` and ``{ps}`` are the fixture's feature files."""
+
+    FEATURE_ROW = TestInputValues.FEATURE_ROW
+
+    @pytest.mark.parametrize(
+        "argv, doc, code, message",
+        [
+            pytest.param("featurize --input {in}", [make_record(candidates=[])], 2,
+                         "line 1: candidates must be a non-empty list", id="no-candidates"),
+            pytest.param(
+                "featurize --input {in}",
+                [make_record(candidates=[{"sql": "select a from b", "source": "beam"}])], 2,
+                "line 1: candidate 0 missing field 'sum_log_prob'", id="no-sum-log-prob",
+            ),
+            pytest.param(
+                "featurize --input {in}",
+                [make_record(candidates=[{"sql": 5, "sum_log_prob": -0.5, "source": "beam"}])],
+                2, "line 1: candidate 0 sql must be a string", id="int-sql",
+            ),
+            pytest.param("fit --input {in}", [], 2, "no feature rows", id="empty-features"),
+            pytest.param(
+                "fit --input {in}", [FEATURE_ROW, {**FEATURE_ROW, "id": "b", "schema_id": "mps-nb"}],
+                2, "line 2: schema changed from 'ps' to 'mps-nb'", id="schema-change",
+            ),
+            pytest.param("fit --input {nb} --mask keep:zz", None, 1,
+                         "mask 'keep:zz' matches no feature", id="mask-keeps-none"),
+            pytest.param("fit --input {nb} --mask drop:*", None, 1,
+                         "mask 'drop:*' drops every feature", id="mask-drops-all"),
+            pytest.param("fit --input {nb} --subsample-count 500", None, 1,
+                         "subsample size 500 outside 1..60", id="subsample-past-rows"),
+            pytest.param("evaluate --input {nb} --group-by label", None, 1,
+                         "only grouping by 'group' is supported", id="group-by-label"),
+            pytest.param("synth --n 0", None, 1, "n must be >= 1", id="synth-none"),
+            pytest.param(
+                "apply --input {ps} --model {in}", {**GOOD_MODEL, "feature_names": ["zeta"]}, 2,
+                "schema 'ps' lacks features ['zeta']", id="model-names-missing",
+            ),
+        ],
+    )
+    def test_is_rejected_and_writes_nothing(
+        self, feature_files, tmp_path, capsys, argv, doc, code, message
+    ):
+        given = tmp_path / "in"
+        if isinstance(doc, list):
+            write_jsonl(given, doc)
+        elif doc is not None:
+            given.write_text(json.dumps(doc))
+        paths = {"in": given, "nb": feature_files["nb"], "ps": feature_files["ps"]}
+        args = [arg.format_map(paths) for arg in argv.split()]
+        assert main(args + ["--output", str(tmp_path / "out")]) == code
+        kind = {1: "usage", 2: "data"}[code]
+        err = capsys.readouterr().err
+        assert err.startswith(f"{kind} error: ") and message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if doc is None else ["in"])
+
+
+class TestUnencodableNames:
+    """JSON carries any string, a lone surrogate too; a name stdout cannot
+    encode prints escaped. capsys, unlike pytest's default capture, encodes
+    stdout strictly, as a terminal or pipe does."""
+
+    def test_fit_prints_an_extra_name_escaped(self, tmp_path, capsys):
+        rc, _, features = _featurize_summary(tmp_path, [
+            make_record(id=f"r{i}", label=i % 2, extra_features={"\ud800": i % 3 / 2})
+            for i in range(6)
+        ])
+        assert rc == 0
+        model = tmp_path / "m.json"
+        assert main(["fit", "--input", str(features), "--output", str(model)]) == 0
+        assert calibrate.load_model(model).feature_names == ("logit_prob", "\ud800")
+        out = capsys.readouterr().out
+        assert "\n\\ud800 " in out and out.endswith("model written with 2 weights (+ intercept)\n")
+
+    def test_evaluate_prints_a_group_name_escaped(self, tmp_path, capsys):
+        rows = [{**TestInputValues.FEATURE_ROW, "id": f"r{i}", "label": i % 2, "group": group}
+                for i, group in enumerate(["\ud800", "\ud800", "g", "g"])]
+        write_jsonl(tmp_path / "f.jsonl", rows)
+        out_dir = tmp_path / "e"
+        argv = ["evaluate", "--input", str(tmp_path / "f.jsonl"), "--output", str(out_dir)]
+        assert main(argv + ["--group-by", "group"]) == 0
+        metrics_doc = json.loads((out_dir / "metrics.json").read_text())
+        assert sorted(metrics_doc["groups"]) == ["g", "\ud800"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" brier=")[0] for line in lines] == [
+            "n=4", "  group=g n=2", "  group=\\ud800 n=2"
+        ]
+
+    def test_names_stdout_can_encode_print_as_they_are(self, tmp_path, capsys):
+        rows = [{**TestInputValues.FEATURE_ROW, "id": f"r{i}", "label": i % 2, "group": "größe"}
+                for i in range(2)]
+        write_jsonl(tmp_path / "f.jsonl", rows)
+        argv = ["evaluate", "--input", str(tmp_path / "f.jsonl"), "--output", str(tmp_path / "e")]
+        assert main(argv + ["--group-by", "group"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("  group=größe n=2 ")
 
 
 class TestPenalty:
@@ -1087,6 +1200,15 @@ class TestCli:
         assert doc["set_op"] == "union"
         assert doc["subq1"]["select"]["select"] == "a"
         assert doc["canonical"] == "select a from b union select c from d"
+
+    def test_parse_emits_a_set_operation_inside_a_set_operation(self, capsys):
+        sql = "SELECT a FROM b UNION SELECT c FROM d INTERSECT SELECT e FROM f"
+        assert main(["parse", sql]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["set_op"] == "intersect" and doc["subq2"]["select"]["from"] == "f"
+        inner = doc["subq1"]
+        assert (inner["set_op"], set(inner)) == ("union", {"set_op", "left", "right"})
+        assert [inner[side]["select"]["from"] for side in ("left", "right")] == ["b", "d"]
 
     def test_usage_error_exit_1(self, tmp_path, capsys):
         assert main(["fit", "--input", "x", "--output", "y", "--method", "nope"]) == 1
