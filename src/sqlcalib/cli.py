@@ -116,11 +116,22 @@ def _config_entry(flag: argparse.Action, key: str, value):
     return value
 
 
-def _print(text: str) -> None:
-    """Print a line holding input names, which may be any JSON string: what
-    stdout's encoding cannot hold (a lone surrogate) prints escaped, ``\\ud800``."""
+def _escaped(text: str) -> str:
+    """``text``, which may be any JSON string, as stdout can print it: what
+    stdout's encoding cannot hold (a lone surrogate) is escaped, ``\\ud800``."""
     encoding = sys.stdout.encoding or "utf-8"
-    print(text.encode(encoding, "backslashreplace").decode(encoding))
+    return text.encode(encoding, "backslashreplace").decode(encoding)
+
+
+def _weight_table(model) -> str:
+    """A fitted model's standardized weights, largest first. Each name is
+    escaped before it is padded, so the weights line up."""
+    rows = sorted(model.standardized_weights().items(), key=lambda kv: -abs(kv[1]))
+    names = [_escaped(name) for name, _ in rows]
+    width = max(map(len, names))
+    lines = [f"{'feature':<{width}}  std.weight"]
+    lines += [f"{name:<{width}}  {value:+.4f}" for name, (_, value) in zip(names, rows)]
+    return "\n".join(lines)
 
 
 def _tree_json(tree):
@@ -165,7 +176,7 @@ def run(args: argparse.Namespace) -> int:
             subsample_count=args.subsample_count,
             seed=args.seed,
         )
-        _print(pipeline.standardized_weight_table(model))
+        print(_weight_table(model))
         print(f"model written with {len(model.weights)} weights (+ intercept)")
         return 0
 
@@ -181,10 +192,10 @@ def run(args: argparse.Namespace) -> int:
         groups = ((f"  group={name} ", rep) for name, rep in reports["groups"].items())
         for prefix, rep in [("", reports["overall"]), *groups]:
             auc = "n/a" if rep.auc is None else f"{rep.auc:.4f}"
-            _print(
+            print(_escaped(
                 f"{prefix}n={rep.n} brier={rep.brier:.4f} ece={rep.ece:.4f} "
                 f"ace={rep.ace:.4f} auc={auc}"
-            )
+            ))
         return 0
 
     if cmd == "compare":

@@ -49,10 +49,12 @@ def load_candidates(path) -> list[CandidateRecord]:
 # -- featurization --------------------------------------------------------
 
 CHUNK_RECORDS = 25  # records per featurize task: about 0.1 s of parsing, 100 KB to pickle
-# Starting and stopping two spawned workers, which import `records` and not numpy,
-# takes about 0.25 s (2-vCPU VM). Twice that is 0.5 s, but with 0.75 s of work
-# left a fresh-process pool still gained nothing, so a pool waits for 1 s of it.
-POOL_MIN_SECONDS = 1.0
+# The work left, in seconds, below which no pool starts, by the workers' start
+# method. Starting and stopping two workers takes about 0.016 s by fork and 0.25 s
+# by spawn, which imports `records` but not numpy (2-vCPU VM). A fresh process
+# gained from a forked pool from about 0.25 s of work left, and from a spawned
+# one not even with 0.75 s.
+POOL_MIN_SECONDS = {"fork": 0.25, "spawn": 1.0}
 
 
 def featurize_records(
@@ -77,15 +79,27 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _one_thread() -> bool:
+    """Whether this process runs exactly one OS thread, so that a forked
+    child copies no other thread's half-done state; False where ``/proc``
+    cannot tell."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
 def _featurized_chunks(path, base: FeatureSchema, scope: str, stack: ExitStack) -> Iterator[_Chunk]:
     """The candidate file featurized in chunks of CHUNK_RECORDS, in file order.
 
     The parent featurizes chunks itself until a usable record fixes the
     extras layout. The rest go to a pool of worker processes, one per CPU,
     whose shutdown ``stack`` owns; at most two chunks per worker are in
-    flight, so memory stays flat in input size. With one CPU, one chunk
-    left, or less than POOL_MIN_SECONDS of work left at the pace of the
-    parent's chunks, no pool starts and the parent runs the rest itself.
+    flight, so memory stays flat in input size. The workers are forked
+    from a process of one thread and spawned from any other. With one
+    CPU, one chunk left, or less than POOL_MIN_SECONDS of work left for
+    that start method at the pace of the parent's chunks, no pool starts
+    and the parent runs the rest itself.
     """
     lines = _lines(path)
     chunks = iter(lambda: list(islice(lines, CHUNK_RECORDS)), [])  # up to the first empty one
@@ -101,16 +115,16 @@ def _featurized_chunks(path, base: FeatureSchema, scope: str, stack: ExitStack) 
     seconds_left = (time.perf_counter() - start) * (os.path.getsize(path) - read) / read
     layout, cpus = done.layout, _cpus()
     ahead = list(islice(chunks, 2 * cpus))
-    if cpus == 1 or len(ahead) < 2 or seconds_left < POOL_MIN_SECONDS:
+    method = "fork" if _one_thread() else "spawn"
+    if cpus == 1 or len(ahead) < 2 or seconds_left < POOL_MIN_SECONDS[method]:
         for chunk in chain(ahead, chunks):
             yield _featurize_chunk(chunk, base, layout, scope)
         return
     import multiprocessing  # here, so only a run that starts a pool imports them
     from concurrent.futures import ProcessPoolExecutor
 
-    # spawn, not fork: numpy's BLAS threads are running in this process
     pool = stack.enter_context(
-        ProcessPoolExecutor(min(cpus, len(ahead)), mp_context=multiprocessing.get_context("spawn"))
+        ProcessPoolExecutor(min(cpus, len(ahead)), mp_context=multiprocessing.get_context(method))
     )
     submit = partial(pool.submit, _featurize_chunk, base=base, layout=layout, scope=scope)
     in_flight = deque(map(submit, ahead))
@@ -303,14 +317,6 @@ def fit_command(
     model = calibrate.fit_logistic(X, y, penalty, schema_id=ff.schema_id, feature_names=selected)
     _write_json(output_path, calibrate.model_to_dict(model))
     return model
-
-
-def standardized_weight_table(model: calibrate.CalibratorModel) -> str:
-    rows = sorted(model.standardized_weights().items(), key=lambda kv: -abs(kv[1]))
-    width = max(len(name) for name, _ in rows)
-    lines = [f"{'feature':<{width}}  std.weight"]
-    lines += [f"{name:<{width}}  {value:+.4f}" for name, value in rows]
-    return "\n".join(lines)
 
 
 # -- evaluation --------------------------------------------------------------

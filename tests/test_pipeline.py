@@ -897,7 +897,8 @@ class TestUnencodableNames:
     encode prints escaped. capsys, unlike pytest's default capture, encodes
     stdout strictly, as a terminal or pipe does."""
 
-    def test_fit_prints_an_extra_name_escaped(self, tmp_path, capsys):
+    def fit_surrogate_extra(self, tmp_path, capsys) -> str:
+        """stdout of ``fit`` on a ``ps+\\ud800`` feature file."""
         rc, _, features = _featurize_summary(tmp_path, [
             make_record(id=f"r{i}", label=i % 2, extra_features={"\ud800": i % 3 / 2})
             for i in range(6)
@@ -906,8 +907,17 @@ class TestUnencodableNames:
         model = tmp_path / "m.json"
         assert main(["fit", "--input", str(features), "--output", str(model)]) == 0
         assert calibrate.load_model(model).feature_names == ("logit_prob", "\ud800")
-        out = capsys.readouterr().out
+        return capsys.readouterr().out
+
+    def test_fit_prints_an_extra_name_escaped(self, tmp_path, capsys):
+        out = self.fit_surrogate_extra(tmp_path, capsys)
         assert "\n\\ud800 " in out and out.endswith("model written with 2 weights (+ intercept)\n")
+
+    def test_fit_lines_up_an_escaped_name_with_the_others(self, tmp_path, capsys):
+        table = self.fit_surrogate_extra(tmp_path, capsys).splitlines()[1:4]  # after featurize's
+        assert table[0] == "feature     std.weight"
+        assert sorted(line.split()[0] for line in table[1:]) == ["\\ud800", "logit_prob"]
+        assert [line.rindex(" ") for line in table] == [11, 11, 11]  # weights under the header
 
     def test_evaluate_prints_a_group_name_escaped(self, tmp_path, capsys):
         rows = [{**TestInputValues.FEATURE_ROW, "id": f"r{i}", "label": i % 2, "group": group}

@@ -4,6 +4,7 @@ run in one process, and no process left behind."""
 import concurrent.futures
 import json
 import multiprocessing
+import os
 import pickle
 import subprocess
 import sys
@@ -17,6 +18,8 @@ from sqlcalib.errors import SqlCalibError
 
 ROOT = Path(__file__).resolve().parents[1]
 CHUNK = pipeline.CHUNK_RECORDS
+METHODS = ("fork", "spawn")
+THRESHOLDS = pipeline.POOL_MIN_SECONDS
 
 ERRORS = sorted(
     (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, SqlCalibError)),
@@ -73,19 +76,22 @@ def mixed_lines() -> list[str]:
 
 
 @pytest.fixture
-def featurize(tmp_path, monkeypatch):
-    """Featurize ``lines`` with ``cpus`` CPUs; the sizes of the pools started.
-    A pool starts however little work is left, unless ``min_seconds`` is given."""
+def featurize_as_is(tmp_path, monkeypatch):
+    """Featurize ``lines`` with ``cpus`` CPUs; the (workers, start method) of
+    each pool started. A pool starts however little work is left, unless
+    ``min_seconds`` is None, which keeps the real thresholds. Each run leaves
+    no worker and no temporary file behind."""
 
     class Executor(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+        def __init__(self, max_workers, mp_context):
+            started.append((max_workers, mp_context.get_start_method()))
+            super().__init__(max_workers, mp_context=mp_context)
 
     def run(lines, cpus, min_seconds=0.0):
         started.clear()
         monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
-        monkeypatch.setattr(pipeline, "POOL_MIN_SECONDS", min_seconds)
+        thresholds = dict.fromkeys(METHODS, min_seconds) if min_seconds is not None else THRESHOLDS
+        monkeypatch.setattr(pipeline, "POOL_MIN_SECONDS", thresholds)
         src = tmp_path / f"in{cpus}.jsonl"
         src.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out = tmp_path / f"out{cpus}" / "features.jsonl"
@@ -94,10 +100,38 @@ def featurize(tmp_path, monkeypatch):
             pipeline.featurize_command(src, out, "mps-nb")
         finally:
             assert multiprocessing.active_children() == []
+            assert list(out.parent.glob("*.tmp")) == []
         return out, list(started)
 
     started = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
+    return run
+
+
+@pytest.fixture
+def featurize(monkeypatch, featurize_as_is):
+    """``featurize_as_is`` with workers started by fork, then again by spawn,
+    however many threads this process runs (the workers touch no numpy, so a
+    fork next to idle BLAS threads is safe here). Both runs write the same
+    bytes or raise the same error; the sizes of the pools started."""
+
+    def run(lines, cpus, min_seconds=0.0):
+        outcomes, error = [], None
+        for method in METHODS:
+            monkeypatch.setattr(pipeline, "_one_thread", lambda: method == "fork")
+            try:
+                out, started = featurize_as_is(lines, cpus, min_seconds)
+            except SqlCalibError as exc:
+                outcomes.append((type(exc), str(exc)))
+                error = exc
+                continue
+            assert all(m == method for _, m in started)
+            outcomes.append((_bytes(out), [workers for workers, _ in started]))
+        assert outcomes[0] == outcomes[1]
+        if error is not None:
+            raise error
+        return out, outcomes[1][1]
+
     return run
 
 
@@ -132,14 +166,16 @@ def test_empty_input_writes_empty_features(featurize, text):
 
 def test_one_chunk_left_after_the_layout_starts_no_pool(featurize):
     lines = [json.dumps(good(i)) for i in range(2 * CHUNK)]
-    assert featurize(lines, cpus=4)[1] == []
-    assert featurize(lines + lines[:1], cpus=4)[1] == [2]
+    for more, pools in [([], []), (lines[:1], [2])]:
+        out, started = featurize(lines + more, cpus=4)
+        assert started == pools
+        assert _bytes(out) == _bytes(featurize(lines + more, cpus=1)[0])
 
 
 def test_too_little_work_left_starts_no_pool(featurize):
-    # about 0.05 s of parsing, far below the workers' start
+    # about 0.05 s of parsing, below either start method's threshold
     lines = [json.dumps(good(i)) for i in range(4 * CHUNK)]
-    assert featurize(lines, cpus=2, min_seconds=pipeline.POOL_MIN_SECONDS)[1] == []
+    assert featurize(lines, cpus=2, min_seconds=None)[1] == []
 
 
 @pytest.mark.parametrize(
@@ -195,26 +231,94 @@ def test_a_spawned_worker_featurizes_a_chunk_without_numpy():
     assert (done.summary.used, done.summary.failed, done.clipped) == (CHUNK - 1, 1, True)
 
 
-def test_clipping_warning_is_printed_once_as_in_one_process(tmp_path):
+# The head of a child interpreter's script: sqlcalib from argv[1], featurize on
+# argv[2] CPUs with no work threshold, and the start method of each pool
+# started appended to ``methods``.
+CHILD = """\
+import concurrent.futures, json, os, sys, threading
+sys.path.insert(0, sys.argv[1])
+from sqlcalib import cli, pipeline
+pipeline._cpus = lambda: int(sys.argv[2])
+pipeline.POOL_MIN_SECONDS = dict.fromkeys(("fork", "spawn"), 0.0)
+methods = []
+class Executor(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, max_workers, mp_context):
+        methods.append(mp_context.get_start_method())
+        super().__init__(max_workers, mp_context=mp_context)
+concurrent.futures.ProcessPoolExecutor = Executor
+"""
+# numpy then starts no BLAS thread, so the child runs one OS thread
+ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+
+
+def run_child(code, *argv, env=None):
+    return subprocess.run(
+        # Python 3.12+ warns when a process of several threads forks: print it if it does
+        [sys.executable, "-W", "always:This process:DeprecationWarning", "-c", code, *argv],
+        capture_output=True, text=True, timeout=120, check=False,
+        env=None if env is None else {**os.environ, **env},
+    )
+
+
+def featurize_in_children(tmp_path, env):
+    """``sqlcalib featurize`` on ``mixed_lines`` in a child on 2 CPUs, then on
+    1, which print and write the same; the start methods of the pools each
+    started."""
     src = tmp_path / "in.jsonl"
     src.write_text("\n".join(mixed_lines()) + "\n", encoding="utf-8")
-    code = (
-        "import sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "from sqlcalib import cli, pipeline\n"
-        "pipeline._cpus = lambda: int(sys.argv[2])\n"
-        "pipeline.POOL_MIN_SECONDS = 0.0\n"
-        "sys.exit(cli.main(sys.argv[3:]))\n"
+    code = CHILD + (
+        "rc = cli.main(sys.argv[4:])\n"
+        "with open(sys.argv[3], 'w') as fh:\n"
+        "    json.dump(methods, fh)\n"
+        "sys.exit(rc)\n"
     )
-    runs = []
+    runs, methods = [], []
     for cpus in (2, 1):
         argv = ["featurize", "--input", str(src), "--output", str(tmp_path / f"f{cpus}.jsonl")]
-        runs.append(subprocess.run(
-            [sys.executable, "-c", code, str(ROOT / "src"), str(cpus), *argv],
-            capture_output=True, text=True, timeout=120, check=False,
-        ))
+        started = tmp_path / f"started{cpus}.json"
+        runs.append(run_child(code, str(ROOT / "src"), str(cpus), str(started), *argv, env=env))
+        methods.append(json.loads(started.read_text()))
     pooled, inline = runs
     assert pooled.returncode == inline.returncode == 0, pooled.stderr + inline.stderr
     assert pooled.stderr.count("probability will be clipped") == 1
+    assert "multi-threaded" not in pooled.stderr
     assert (pooled.stdout, pooled.stderr) == (inline.stdout, inline.stderr)
-    assert (tmp_path / "f2.jsonl").read_bytes() == (tmp_path / "f1.jsonl").read_bytes()
+    assert _bytes(tmp_path / "f2.jsonl") == _bytes(tmp_path / "f1.jsonl")
+    assert list(tmp_path.glob("*.tmp")) == []
+    return methods
+
+
+def test_clipping_warning_is_printed_once_as_in_one_process(tmp_path):
+    methods = featurize_in_children(tmp_path, env=None)
+    assert len(methods[0]) == 1 and methods[1] == []
+
+
+def test_a_cli_run_of_one_thread_forks_and_prints_as_in_one_process(tmp_path):
+    assert featurize_in_children(tmp_path, env=ONE_BLAS_THREAD) == [["fork"], []]
+
+
+@pytest.mark.parametrize(
+    "setup, method",
+    [
+        ("", "fork"),
+        ("release = threading.Event()\n"
+         "threading.Thread(target=release.wait, daemon=True).start()\n", "spawn"),
+        ("listdir = os.listdir\n"
+         "def no_proc(path='.'):\n"
+         "    if str(path).startswith('/proc'):\n"
+         "        raise FileNotFoundError(path)\n"
+         "    return listdir(path)\n"
+         "os.listdir = no_proc\n", "spawn"),
+    ],
+    ids=["one-thread", "another-thread", "no-proc"],
+)
+def test_only_a_process_of_one_thread_forks_its_workers(tmp_path, setup, method):
+    src, out = tmp_path / "in.jsonl", tmp_path / "f.jsonl"
+    src.write_text("\n".join(json.dumps(good(i)) for i in range(3 * CHUNK)) + "\n")
+    code = CHILD + setup + (
+        "pipeline.featurize_command(sys.argv[3], sys.argv[4], 'mps-nb')\n"
+        "print(json.dumps(methods))\n"
+    )
+    proc = run_child(code, str(ROOT / "src"), "2", str(src), str(out), env=ONE_BLAS_THREAD)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout) == [method]
