@@ -2,18 +2,8 @@
 
 
 class SqlCalibError(Exception):
-    """Base class for all toolkit errors."""
-
-    def __reduce__(self):
-        # rebuilt without __init__, whose parameters differ between subclasses,
-        # so an error raised in a worker process reaches the parent intact
-        return _rebuild, (type(self), self.args, self.__dict__)
-
-
-def _rebuild(cls, args, state):
-    exc = cls.__new__(cls, *args)
-    exc.__dict__.update(state)
-    return exc
+    """Base class for all toolkit errors. Each passes every constructor
+    argument to ``Exception``, so it pickles by the standard protocol."""
 
 
 class ParseError(SqlCalibError):
@@ -24,8 +14,11 @@ class ParseError(SqlCalibError):
     """
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
+        super().__init__(message, offset)
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (at offset {self.offset})"
 
 
 class EmptyPool(SqlCalibError):
@@ -68,10 +61,6 @@ class SchemaError(SqlCalibError):
 
 class JsonError(SqlCalibError):
     """A line of a JSONL file is not valid JSON."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class IdMismatch(SqlCalibError):

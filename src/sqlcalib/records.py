@@ -68,7 +68,7 @@ def _decode(line: bytes, lineno: int, required=()) -> dict:
     try:
         doc = json.loads(line.decode())
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
-        raise JsonError(str(exc), lineno) from exc
+        raise JsonError(f"line {lineno}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"line {lineno}: expected a JSON object, got {type(doc).__name__}")
     for key in required:
@@ -224,8 +224,10 @@ class _Chunk:
 
 def _featurize(records, base: FeatureSchema, scope: str, done: _Chunk) -> Iterator[dict]:
     """Rows of ``records`` under ``done.layout``, fixed from ``base`` by the
-    first usable record if unset; each record is counted in ``done``."""
+    first usable record if unset; each record is counted in ``done``. An
+    extra named like a standard feature is a SchemaError at any usable record."""
     summary = done.summary
+    standard = set(base.feature_names)
     for record in records:
         summary.input_records += 1
         summary.candidate_parse_failures += record.parse_failures
@@ -234,8 +236,9 @@ def _featurize(records, base: FeatureSchema, scope: str, done: _Chunk) -> Iterat
             summary.unusable += 1
             summary.failures.append({"id": record.id, "reason": "no candidate parses"})
             continue
-        if done.layout is None:
-            done.layout = resolve_schema("+".join([base.schema_id, *(record.extra_features or ())]))
+        extras = record.extra_features or ()
+        if done.layout is None or not standard.isdisjoint(extras):  # a clash raises here
+            done.layout = resolve_schema("+".join([base.schema_id, *extras]))
         try:
             primary = choose_primary(record, scope)
             # a source with only unparseable samples stays present but empty,

@@ -237,6 +237,11 @@ class TestApply:
             pa, pb = apply_model(model, np.array([[a], [b]]))
             assert pa < pb
 
+    def test_matrix_of_the_wrong_width_is_a_schema_mismatch(self):
+        model = CalibratorModel("ps", ("logit_prob",), 0.0, (1.0,), 1.0)
+        with pytest.raises(SchemaMismatch, match="expects 1 features, got 2"):
+            apply_model(model, np.zeros((3, 2)))
+
     def apply_to_one_row(self, tmp_path, model, schema_id, values):
         features, model_path = tmp_path / "f.jsonl", tmp_path / "m.json"
         row = {"id": "r", "label": 1, "schema_id": schema_id, "values": values, "raw_prob": 0.5}
@@ -283,3 +288,9 @@ class TestPersistence:
             "toolkit_version",
         }
         assert doc["weights"] == [1.5]
+
+    def test_model_without_scales_reports_raw_weights(self, tmp_path):
+        path = tmp_path / "model.json"
+        doc = model_to_dict(CalibratorModel("ps+x", ("logit_prob", "x"), 0.25, (1.5, -2.0), 1.0))
+        pipeline._write_json(path, {**doc, "feature_scales": None})
+        assert load_model(path).standardized_weights() == {"logit_prob": 1.5, "x": -2.0}

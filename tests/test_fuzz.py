@@ -69,7 +69,9 @@ RECORD = st.fixed_dictionaries(
     optional={
         "group": JSON,
         "extra_features": mostly(st.dictionaries(
-            st.sampled_from(["p", "q"]) | TEXT, st.floats(allow_nan=True) | JSON, max_size=2
+            st.sampled_from(["p", "q", "logit_prob", "nucleus.agg"]) | TEXT,
+            st.floats(allow_nan=True) | JSON,
+            max_size=2,
         )),
     },
 )
@@ -95,6 +97,27 @@ def test_featurize_exits_0_or_2_and_accounts_for_every_record(lines, schema):
             accounted = summary["used"] + summary["unusable"] + summary["failed"]
             assert accounted == summary["input_records"]
             assert len(out.read_text().splitlines()) == summary["used"]
+
+
+def _record(id_, extras):
+    cand = {"sql": "select a from b", "sum_log_prob": -1, "source": "beam"}
+    return json.dumps({"id": id_, "label": 1, "candidates": [cand], "extra_features": extras})
+
+
+def _featurize_exit_code(lines, schema):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "c.jsonl", Path(tmp) / "f.jsonl"
+        src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return main(["featurize", "--input", str(src), "--output", str(out), "--schema", schema])
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # empty files, clipped log-probs
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=st.lists(LINE, max_size=4), schema=st.sampled_from(["ps", "mps-nb"]))
+# the first record fixes the layout; the second has an extra named like a standard feature
+@example(lines=[_record("a", {}), _record("b", {"logit_prob": 1})], schema="ps")
+def test_featurize_exit_code_does_not_depend_on_record_order(lines, schema):
+    assert _featurize_exit_code(lines, schema) == _featurize_exit_code(lines[::-1], schema)
 
 
 def strict_json(text):

@@ -477,6 +477,16 @@ class TestInputValues:
         assert rc == 2 and not out.exists()
         assert "repeats feature names ['logit_prob']" in capsys.readouterr().err
 
+    def test_extra_named_like_a_standard_feature_in_a_later_record_is_a_data_error(
+        self, tmp_path, capsys
+    ):
+        records = [make_record(id=f"r{i}", label=i % 2, extra_features={}) for i in range(4)]
+        records[2]["extra_features"] = {"logit_prob": 1}
+        rc, _, out = _featurize_summary(tmp_path, records)
+        assert rc == 2 and [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+        assert ("feature schema 'ps+logit_prob' repeats feature names ['logit_prob']"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("schema_id", ["ps+logit_prob", "ps+a+a", "mps-nucleus+nucleus.agg"])
     def test_feature_file_with_repeated_names_is_a_data_error(self, tmp_path, capsys, schema_id):
         write_jsonl(tmp_path / "f.jsonl", [{**self.FEATURE_ROW, "schema_id": schema_id}])
@@ -616,6 +626,11 @@ class TestFit:
             pipeline.fit_command(
                 feature_files["nb"], "ps", tmp_path / "m.json", mask="keep:logit_prob"
             )
+
+    def test_unknown_method_rejected(self, feature_files, tmp_path):
+        with pytest.raises(ValueError, match="method must be one of"):
+            pipeline.fit_command(feature_files["nb"], "bogus", tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
 
     def test_model_file_round_trips(self, feature_files, tmp_path):
         model = pipeline.fit_command(feature_files["nb"], "mps", tmp_path / "m.json")

@@ -26,15 +26,20 @@ ERRORS = sorted(
     key=lambda c: c.__name__,
 )
 # constructor arguments of the errors that take more than a message
-ARGS = {errors.ParseError: ("unexpected token", 7), errors.JsonError: ("Expecting value", 3)}
+ARGS = {errors.ParseError: ("unexpected token", 7)}
 
 
 @pytest.mark.parametrize("cls", ERRORS, ids=lambda c: c.__name__)
 def test_every_error_round_trips_through_pickle(cls):
+    # by the standard protocol, which calls __init__ with args: an error whose
+    # __init__ drops an argument fails here, not in a worker process
+    assert "__reduce__" not in vars(SqlCalibError)
     exc = cls(*ARGS.get(cls, ("line 4: missing field 'label'",)))
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is cls
-    assert (str(back), back.args, vars(back)) == (str(exc), exc.args, vars(exc))  # line, offset
+    assert (str(back), back.args, vars(back), repr(back)) == (
+        str(exc), exc.args, vars(exc), repr(exc)  # vars: ParseError's offset
+    )
 
 
 def cand(sql, lp=-0.5, source="nucleus"):
@@ -178,19 +183,27 @@ def test_too_little_work_left_starts_no_pool(featurize):
     assert featurize(lines, cpus=2, min_seconds=None)[1] == []
 
 
+LINE = "line {}:"  # what most errors say: the line they were found on
+
+
 @pytest.mark.parametrize(
-    "bad, error",
+    "bad, error, says",
     [
-        ("{not json", errors.JsonError),
-        ("[1, 2]", errors.SchemaError),
-        (json.dumps({"id": "x", "candidates": [cand("select a from b")]}), errors.SchemaError),
+        ("{not json", errors.JsonError, LINE),
+        ("[1, 2]", errors.SchemaError, LINE),
+        (json.dumps({"id": "x", "candidates": [cand("select a from b")]}), errors.SchemaError,
+         LINE),
         (json.dumps({**good(0), "candidates": [cand("select a from b", source="oracle")]}),
-         errors.SchemaError),
+         errors.SchemaError, LINE),
+        (json.dumps(good(6 * CHUNK, extra_features={"logit_prob": 1})), errors.SchemaError,
+         "feature schema 'mps-nb+logit_prob' repeats feature names ['logit_prob']"),
     ],
-    ids=["json", "non-object", "missing-field", "bad-candidate"],
+    ids=["json", "non-object", "missing-field", "bad-candidate", "extra-named-standard"],
 )
 @pytest.mark.filterwarnings("ignore:sum_log_prob")
-def test_error_in_the_last_chunk_is_raised_as_in_one_process(featurize, tmp_path, bad, error):
+def test_error_in_the_last_chunk_is_raised_as_in_one_process(
+    featurize, tmp_path, bad, error, says
+):
     lines = mixed_lines()
     lines.insert(-3, bad)
     lineno = "\n".join(lines).splitlines().index(bad) + 1
@@ -202,7 +215,7 @@ def test_error_in_the_last_chunk_is_raised_as_in_one_process(featurize, tmp_path
         # no output, summary or temporary file: outputs go below tmp_path
         assert [p for p in tmp_path.rglob("*") if p.is_file() and p.parent != tmp_path] == []
     assert raised[0] == raised[1]
-    assert f"line {lineno}:" in raised[0][1]
+    assert says.format(lineno) in raised[0][1]
 
 
 def test_a_spawned_worker_featurizes_a_chunk_without_numpy():
