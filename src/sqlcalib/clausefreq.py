@@ -102,6 +102,7 @@ BASE_SCHEMAS = {
 }
 # the CLI's other choice lists, stated here so that parsing its flags needs no numpy
 SOURCES = ("nucleus", "beam")
+SCOPES = (*SOURCES, "union")  # the candidates featurize reads: one source, or all
 METHODS = ("ps", "mps")
 SYNTH_MODES = ("calibrated", "platt", "mps-signal")
 

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .clausefreq import BASE_SCHEMAS, METHODS, SOURCES, SYNTH_MODES
+from .clausefreq import BASE_SCHEMAS, METHODS, SCOPES, SYNTH_MODES
 from .errors import SqlCalibError
 from .parser import parse_sql
 from .sqlast import SelectStatement, canonicalize, decompose, extract_clauses
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--schema", choices=list(BASE_SCHEMAS), default="mps-nb")
-    p.add_argument("--scope", choices=[*SOURCES, "union"], default="union")
+    p.add_argument("--scope", choices=SCOPES, default="union")
     common(p)
 
     p = sub.add_parser("fit", help="fit a calibrator on a feature file")
@@ -154,7 +154,7 @@ def run(args: argparse.Namespace) -> int:
         print(json.dumps(doc, indent=2))
         return 0
 
-    from . import pipeline  # numpy loads here, so parse and usage errors never pay for it
+    from . import pipeline  # not for parse or usage errors; numpy loads only in numeric commands
 
     if cmd == "featurize":
         summary = pipeline.featurize_command(args.input, args.output, args.schema, args.scope)

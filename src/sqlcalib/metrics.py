@@ -176,8 +176,11 @@ def compare_shift(
     """Stratify examples by how far scores_b moved away from scores_a.
 
     For each fraction f the top and bottom ceil(f*n) examples by
-    delta = b - a are summarized; ties in delta keep input order.
+    delta = b - a are summarized; ties in delta keep input order. Each
+    fraction must lie in (0, 0.5].
     """
+    if not all(0 < f <= 0.5 for f in fractions):  # NaN fails too
+        raise ValueError(f"fractions must lie in (0, 0.5], got {tuple(fractions)!r}")
     scores_a, labels = _check(scores_a, labels)
     scores_b, _ = _check(scores_b, labels)
     n = scores_a.size

@@ -394,6 +394,12 @@ class TestCompareShift:
         with pytest.raises(LengthMismatch):
             compare_shift([0.1, 0.2], [0.3], [1, 0])
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.6, math.nan])
+    def test_fraction_outside_zero_to_half_is_rejected(self, fraction):
+        s, y = np.linspace(0.1, 0.9, 8), np.array([0, 1] * 4)
+        with pytest.raises(ValueError, match=r"fractions must lie in \(0, 0.5\]"):
+            compare_shift(s, s[::-1], y, (0.1, fraction))
+
 
 # -- inputs no metric can score ---------------------------------------------------------------
 

@@ -24,8 +24,8 @@ from sqlcalib.errors import (
     SchemaMismatch,
 )
 from sqlcalib.parser import parse_sql
+from sqlcalib.pipeline import Candidate, CandidateRecord, choose_primary
 from sqlcalib.querygen import generate_candidate_records
-from sqlcalib.records import Candidate, CandidateRecord, choose_primary
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_candidates.jsonl"
 EXTRAS = st.none() | st.dictionaries(st.sampled_from(["p", "q", "r"]), st.floats(-1e6, 1e6))
@@ -196,6 +196,13 @@ class TestFeaturize:
         assert written == summary.used
         sidecar = json.loads((tmp_path / "f.jsonl.summary.json").read_text())
         assert sidecar["used"] == summary.used
+
+    @pytest.mark.parametrize("scope", ["bogus", "Beam"])
+    def test_unknown_scope_is_rejected_before_any_input_is_read(self, tmp_path, scope):
+        out = tmp_path / "f.jsonl"
+        with pytest.raises(ValueError, match="scope must be one of"):
+            pipeline.featurize_command(tmp_path / "missing.jsonl", out, "ps", scope)
+        assert list(tmp_path.iterdir()) == []
 
     def test_primary_matching_whole_pool_gives_unit_frequencies(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -475,7 +482,7 @@ class TestInputValues:
         ]
         rc, _, out = _featurize_summary(tmp_path, records)
         assert rc == 2 and not out.exists()
-        assert "repeats feature names ['logit_prob']" in capsys.readouterr().err
+        assert "line 1: feature schema 'ps+logit_prob' repeats feature names" in capsys.readouterr().err
 
     def test_extra_named_like_a_standard_feature_in_a_later_record_is_a_data_error(
         self, tmp_path, capsys
@@ -484,7 +491,7 @@ class TestInputValues:
         records[2]["extra_features"] = {"logit_prob": 1}
         rc, _, out = _featurize_summary(tmp_path, records)
         assert rc == 2 and [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
-        assert ("feature schema 'ps+logit_prob' repeats feature names ['logit_prob']"
+        assert ("line 3: feature schema 'ps+logit_prob' repeats feature names ['logit_prob']"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("schema_id", ["ps+logit_prob", "ps+a+a", "mps-nucleus+nucleus.agg"])

@@ -196,7 +196,7 @@ LINE = "line {}:"  # what most errors say: the line they were found on
         (json.dumps({**good(0), "candidates": [cand("select a from b", source="oracle")]}),
          errors.SchemaError, LINE),
         (json.dumps(good(6 * CHUNK, extra_features={"logit_prob": 1})), errors.SchemaError,
-         "feature schema 'mps-nb+logit_prob' repeats feature names ['logit_prob']"),
+         LINE + " feature schema 'mps-nb+logit_prob' repeats feature names ['logit_prob']"),
     ],
     ids=["json", "non-object", "missing-field", "bad-candidate", "extra-named-standard"],
 )
@@ -223,7 +223,7 @@ def test_a_spawned_worker_featurizes_a_chunk_without_numpy():
     chunk = [(i, line.encode()) for i, line in enumerate(mixed_lines()[first:first + CHUNK], first)]
     base, layout = resolve_schema("mps-nb"), resolve_schema("mps-nb+p_true")
     task = pickle.dumps((pipeline._featurize_chunk, chunk, base, layout, "union"))  # as submit sends it
-    assert b"sqlcalib.records" in task and b"sqlcalib.pipeline" not in task
+    assert b"sqlcalib.pipeline" in task
     code = (
         "import pickle, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -238,7 +238,7 @@ def test_a_spawned_worker_featurizes_a_chunk_without_numpy():
     done, numpy_loaded, loaded = pickle.loads(proc.stdout)
     assert not numpy_loaded
     assert loaded == [f"sqlcalib.{m}" for m in (
-        "clausefreq", "errors", "lexer", "parser", "probability", "records", "sqlast")]
+        "clausefreq", "errors", "lexer", "parser", "pipeline", "probability", "sqlast")]
     here = pipeline._featurize_chunk(chunk, base, layout, "union")
     assert (done.rows, done.summary, done.clipped) == (here.rows, here.summary, here.clipped)
     assert (done.summary.used, done.summary.failed, done.clipped) == (CHUNK - 1, 1, True)
@@ -265,32 +265,34 @@ ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 
 
 def run_child(code, *argv, env=None):
+    """Run ``code`` in a child whose environment is this one's updated by
+    ``env``, where a value of None removes the variable."""
     return subprocess.run(
         # Python 3.12+ warns when a process of several threads forks: print it if it does
         [sys.executable, "-W", "always:This process:DeprecationWarning", "-c", code, *argv],
         capture_output=True, text=True, timeout=120, check=False,
-        env=None if env is None else {**os.environ, **env},
+        env={k: v for k, v in {**os.environ, **(env or {})}.items() if v is not None},
     )
 
 
 def featurize_in_children(tmp_path, env):
     """``sqlcalib featurize`` on ``mixed_lines`` in a child on 2 CPUs, then on
     1, which print and write the same; the start methods of the pools each
-    started."""
+    started, and whether each child had loaded numpy when the command returned."""
     src = tmp_path / "in.jsonl"
     src.write_text("\n".join(mixed_lines()) + "\n", encoding="utf-8")
     code = CHILD + (
         "rc = cli.main(sys.argv[4:])\n"
         "with open(sys.argv[3], 'w') as fh:\n"
-        "    json.dump(methods, fh)\n"
+        "    json.dump([methods, 'numpy' in sys.modules], fh)\n"
         "sys.exit(rc)\n"
     )
-    runs, methods = [], []
+    runs, started_and_numpy = [], []
     for cpus in (2, 1):
         argv = ["featurize", "--input", str(src), "--output", str(tmp_path / f"f{cpus}.jsonl")]
         started = tmp_path / f"started{cpus}.json"
         runs.append(run_child(code, str(ROOT / "src"), str(cpus), str(started), *argv, env=env))
-        methods.append(json.loads(started.read_text()))
+        started_and_numpy.append(json.loads(started.read_text()))
     pooled, inline = runs
     assert pooled.returncode == inline.returncode == 0, pooled.stderr + inline.stderr
     assert pooled.stderr.count("probability will be clipped") == 1
@@ -298,16 +300,24 @@ def featurize_in_children(tmp_path, env):
     assert (pooled.stdout, pooled.stderr) == (inline.stdout, inline.stderr)
     assert _bytes(tmp_path / "f2.jsonl") == _bytes(tmp_path / "f1.jsonl")
     assert list(tmp_path.glob("*.tmp")) == []
-    return methods
+    methods, numpy_loaded = zip(*started_and_numpy)
+    return list(methods), list(numpy_loaded)
 
 
 def test_clipping_warning_is_printed_once_as_in_one_process(tmp_path):
-    methods = featurize_in_children(tmp_path, env=None)
+    methods, _ = featurize_in_children(tmp_path, env=None)
     assert len(methods[0]) == 1 and methods[1] == []
 
 
 def test_a_cli_run_of_one_thread_forks_and_prints_as_in_one_process(tmp_path):
-    assert featurize_in_children(tmp_path, env=ONE_BLAS_THREAD) == [["fork"], []]
+    assert featurize_in_children(tmp_path, env=ONE_BLAS_THREAD)[0] == [["fork"], []]
+
+
+def test_a_plain_cli_run_loads_no_numpy_and_forks(tmp_path):
+    # no BLAS variable set: had numpy been imported, its BLAS thread would make the pool spawn
+    methods, numpy_loaded = featurize_in_children(tmp_path, env=dict.fromkeys(ONE_BLAS_THREAD))
+    assert methods == [["fork"], []]
+    assert numpy_loaded == [False, False]
 
 
 @pytest.mark.parametrize(
