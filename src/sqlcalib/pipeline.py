@@ -4,8 +4,10 @@ Every stage exchanges JSONL so runs are streamable and diffable. Records
 that fail individually never abort a run; they are counted and reported
 in a sidecar summary so that input lines are always fully accounted for.
 
-Featurize and its worker processes never load numpy: only the numeric
-commands import it, with ``calibrate`` and ``metrics``, where they run.
+Candidate, feature and scored files are read in chunks on every CPU this
+process may use, and no reader loads numpy: the numeric commands import
+it, with ``calibrate`` and ``metrics``, only once their input is decoded,
+so that the workers which decode it can still be forked.
 """
 
 import json
@@ -70,18 +72,17 @@ CANDIDATE_FIELDS = ("id", "label", "candidates")
 CLIPPED = "sum_log_prob > 0; probability will be clipped"
 
 
-def iter_jsonl(path, required=()):
-    """Yield ``(lineno, doc)`` per non-blank line; each must be a JSON object
-    holding the ``required`` fields."""
-    for lineno, line in _lines(path):
-        yield lineno, _decode(line, lineno, required)
-
-
-def _lines(path) -> Iterator[tuple[int, bytes]]:
-    """``(lineno, line)`` per non-blank line, as bytes, so bad UTF-8 is a
-    JsonError on its own line."""
+def _lines(path, start=0, end=math.inf, lineno=1) -> Iterator[tuple[int, bytes]]:
+    """``(lineno, line)`` per non-blank line of ``path`` in the byte range from
+    ``start`` to ``end``, whose first line is numbered ``lineno``; as bytes, so
+    bad UTF-8 is a JsonError on its own line."""
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        if start:  # a pipe cannot seek, not even to 0
+            fh.seek(start)
+        for lineno, line in enumerate(fh, start=lineno):
+            if start >= end:
+                break
+            start += len(line)
             if line.strip():
                 yield lineno, line
 
@@ -319,6 +320,7 @@ def _feature_row(id_, label, group, schema_id, values, raw_prob) -> dict:
 
 
 CHUNK_RECORDS = 25  # records per featurize task: about 0.1 s of parsing, 100 KB to pickle
+CHUNK_ROWS = 2000  # rows per feature- or scored-file task: 0.04 s to decode 21 values each
 # The work left, in seconds, below which no pool starts, by the workers' start
 # method. Starting and stopping two workers takes about 0.016 s by fork and 0.25 s
 # by spawn, which imports `pipeline` but not numpy (2-vCPU VM). A fresh process
@@ -359,36 +361,70 @@ def _one_thread() -> bool:
         return False
 
 
-def _featurized_chunks(path, base: FeatureSchema, scope: str, stack: ExitStack) -> Iterator[_Chunk]:
-    """The candidate file featurized in chunks of CHUNK_RECORDS, in file order.
+def _ranges(path, size: int) -> Iterator[tuple[int, int, int]]:
+    """``(start, end, lineno)`` of each run of ``size`` non-blank lines of
+    ``path``: its byte range and the number of its first line. The runs
+    follow one another, so blank lines fall inside them."""
+    with open(path, "rb") as fh:
+        start = end = count = 0
+        first = 1
+        for lineno, line in enumerate(fh, start=1):
+            end += len(line)
+            if line.strip():
+                count += 1
+                if count == size:
+                    yield start, end, first
+                    start, first, count = end, lineno + 1, 0
+    if count:
+        yield start, end, first
 
-    The parent featurizes chunks itself until a usable record fixes the
-    extras layout. The rest go to a pool of worker processes, one per CPU,
-    whose shutdown ``stack`` owns; at most two chunks per worker are in
-    flight, so memory stays flat in input size. The workers are forked
-    from a process of one thread and spawned from any other. With one
-    CPU, one chunk left, or less than POOL_MIN_SECONDS of work left for
-    that start method at the pace of the parent's chunks, no pool starts
-    and the parent runs the rest itself.
+
+def _run_range(task, path, start: int, end: int, lineno: int):
+    """``task`` on the ``(lineno, line)`` pairs of a byte range of ``path``."""
+    return task(_lines(path, start, end, lineno))
+
+
+def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
+    """``task``'s result on each run of ``size`` non-blank lines of ``path``,
+    in file order: the one reader of candidate, feature and scored files.
+
+    The parent runs chunks itself until ``fixed`` of a result returns the
+    task for the rest, which carries the state that result fixed (the
+    extras layout of a candidate file, the schema of a feature file). The
+    rest go to a pool of worker processes, one per CPU, whose shutdown
+    ``stack`` owns. Each task is a byte range, which its worker reads
+    itself, and at most two per worker are in flight, so memory stays flat
+    in input size. The workers are forked from a process of one thread and
+    spawned from any other. With one CPU, one chunk left, or less than
+    POOL_MIN_SECONDS of work left for that start method at the pace of the
+    parent's chunks, no pool starts and the parent runs the rest itself.
+    It runs every chunk of a file it can read only once, such as a pipe.
     """
-    lines = _lines(path)
-    chunks = iter(lambda: list(islice(lines, CHUNK_RECORDS)), [])  # up to the first empty one
-    start, read = time.perf_counter(), 0
-    for chunk in chunks:
-        done = _featurize_chunk(chunk, base, None, scope)
-        read += sum(len(line) for _, line in chunk)
+    if not os.path.isfile(path):
+        lines = _lines(path)
+        for chunk in iter(lambda: list(islice(lines, size)), []):  # up to the first empty one
+            done = task(chunk)
+            yield done
+            task = fixed(done) or task
+        return
+    path = os.path.realpath(path)  # /dev/stdin or /dev/fd/3 would name another file in a worker
+    ranges = _ranges(path, size)
+    begun = time.perf_counter()
+    for start, end, lineno in ranges:
+        done = _run_range(task, path, start, end, lineno)
         yield done
-        if done.layout is not None:
+        rest = fixed(done)
+        if rest is not None:
             break
     else:
         return
-    seconds_left = (time.perf_counter() - start) * (os.path.getsize(path) - read) / read
-    layout, cpus = done.layout, _cpus()
-    ahead = list(islice(chunks, 2 * cpus))
+    seconds_left = (time.perf_counter() - begun) * (os.path.getsize(path) - end) / end
+    cpus = _cpus()
+    ahead = list(islice(ranges, 2 * cpus))
     method = "fork" if _one_thread() else "spawn"
     if cpus == 1 or len(ahead) < 2 or seconds_left < POOL_MIN_SECONDS[method]:
-        for chunk in chain(ahead, chunks):
-            yield _featurize_chunk(chunk, base, layout, scope)
+        for start, end, lineno in chain(ahead, ranges):
+            yield _run_range(rest, path, start, end, lineno)
         return
     import multiprocessing  # here, so only a run that starts a pool imports them
     from concurrent.futures import ProcessPoolExecutor
@@ -396,11 +432,11 @@ def _featurized_chunks(path, base: FeatureSchema, scope: str, stack: ExitStack) 
     pool = stack.enter_context(
         ProcessPoolExecutor(min(cpus, len(ahead)), mp_context=multiprocessing.get_context(method))
     )
-    submit = partial(pool.submit, _featurize_chunk, base=base, layout=layout, scope=scope)
-    in_flight = deque(map(submit, ahead))
+    submit = partial(pool.submit, _run_range, rest, path)
+    in_flight = deque(submit(*r) for r in ahead)
     while in_flight:
         done = in_flight.popleft().result()
-        in_flight.extend(map(submit, islice(chunks, 1)))
+        in_flight.extend(submit(*r) for r in islice(ranges, 1))
         yield done
 
 
@@ -422,8 +458,13 @@ def featurize_command(input_path, output_path, schema_id: str, scope: str = "uni
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
     summary = RunSummary()
+    task = partial(_featurize_chunk, base=resolve_schema(schema_id), layout=None, scope=scope)
     with ExitStack() as stack:  # shuts a worker pool down on every path
-        chunks = _featurized_chunks(input_path, resolve_schema(schema_id), scope, stack)
+        chunks = _in_file_order(
+            input_path, CHUNK_RECORDS, task,
+            lambda done: None if done.layout is None else partial(task, layout=done.layout),
+            stack,
+        )
         _write_jsonl(output_path, _rows(chunks, summary))
     _write_json(str(output_path) + ".summary.json", asdict(summary))
     return summary
@@ -452,9 +493,77 @@ class FeatureFile:
         return self.X[:, [self.feature_names.index(n) for n in names]]
 
 
+@dataclass
+class _Columns:
+    """Rows of a feature or scored file, column by column in file order."""
+
+    schema: Optional[FeatureSchema] = None  # a feature file's, fixed by its first row
+    ids: list = field(default_factory=list)
+    groups: list = field(default_factory=list)
+    linenos: list = field(default_factory=list)
+    labels: array = field(default_factory=partial(array, "d"))
+    probs: array = field(default_factory=partial(array, "d"))  # raw or calibrated
+    values: array = field(default_factory=partial(array, "d"))  # each row's, one after another
+    held_out: list = field(default_factory=list)  # (lineno, values) the buffer reads NaN for
+
+
+def _feature_columns(lines, schema: Optional[FeatureSchema]) -> _Columns:
+    """Check ``(lineno, line)`` pairs of a feature file into columns; the first
+    row fixes the schema if ``schema`` is None. Runs in a worker process, or
+    in the parent."""
+    done = _Columns(schema)
+    for lineno, line in lines:
+        doc = _decode(line, lineno, ("id", "label", "schema_id", "values", "raw_prob"))
+        if schema is None:
+            schema_id = doc["schema_id"]
+            if type(schema_id) is not str:
+                raise SchemaError(f"line {lineno}: schema_id must be a string, got {schema_id!r}")
+            schema = done.schema = resolve_schema(schema_id)
+            if schema_id != schema.schema_id:
+                raise SchemaError(
+                    f"line {lineno}: schema_id {schema_id!r} is not canonical;"
+                    f" expected {schema.schema_id!r}"
+                )
+        elif doc["schema_id"] != schema.schema_id:
+            raise SchemaError(
+                f"line {lineno}: schema changed from {schema.schema_id!r} to {doc['schema_id']!r}"
+            )
+        values, width = doc["values"], len(schema.feature_names)
+        if not isinstance(values, list) or len(values) != width:
+            raise SchemaError(
+                f"line {lineno}: expected a list of {width} values for {schema.schema_id!r}"
+            )
+        done.ids.append(_check_id(doc, lineno))
+        done.labels.append(_check_label(doc, lineno))
+        done.probs.append(_check_prob(doc, "raw_prob", lineno))
+        done.groups.append(_check_group(doc, lineno))
+        done.linenos.append(lineno)
+        if set(map(type, values)) <= {int, float}:  # the buffer itself takes True as 1.0
+            try:
+                done.values.fromlist(values)  # all or nothing
+                continue
+            except OverflowError:  # an int past the float range
+                pass
+        done.held_out.append((lineno, values))
+        done.values.fromlist([math.nan] * width)
+    return done
+
+
+def _load_columns(path, task, fixed) -> _Columns:
+    """The columns of ``path``, read in chunks of CHUNK_ROWS by
+    ``_in_file_order`` and joined in file order."""
+    cols = _Columns()
+    with ExitStack() as stack:  # shuts a worker pool down on every path
+        for done in _in_file_order(path, CHUNK_ROWS, task, fixed, stack):
+            cols.schema = done.schema
+            for f in fields(cols)[1:]:  # every column: the schema is the first field
+                getattr(cols, f.name).extend(getattr(done, f.name))
+    return cols
+
+
 def load_features(path) -> FeatureFile:
-    """A feature file's rows as columns, filled while the file is read; ids
-    are compared as strings and must be unique.
+    """A feature file's rows as columns, read on every CPU this process may
+    use; ids are compared as strings and must be unique.
 
     The values of every row go into one flat float buffer, which ``X``
     views as a C-contiguous (n, m) matrix. A value that is not a finite int
@@ -462,64 +571,31 @@ def load_features(path) -> FeatureFile:
     range) is a SchemaError naming its line. It is raised after every
     per-row check and the id check, for the first such value in file order.
     """
-    import numpy as np
-
-    ids, groups, linenos = [], [], []
-    labels, raw, flat = array("d"), array("d"), array("d")
-    held_out = {}  # row -> values the buffer cannot hold; X reads NaN there
-    schema_id = None
-    for lineno, doc in iter_jsonl(path, ("id", "label", "schema_id", "values", "raw_prob")):
-        if schema_id is None:
-            schema_id = doc["schema_id"]
-            if type(schema_id) is not str:
-                raise SchemaError(f"line {lineno}: schema_id must be a string, got {schema_id!r}")
-            schema = resolve_schema(schema_id)
-            if schema_id != schema.schema_id:
-                raise SchemaError(
-                    f"line {lineno}: schema_id {schema_id!r} is not canonical;"
-                    f" expected {schema.schema_id!r}"
-                )
-            expected_len = len(schema.feature_names)
-        elif doc["schema_id"] != schema_id:
-            raise SchemaError(
-                f"line {lineno}: schema changed from {schema_id!r} to {doc['schema_id']!r}"
-            )
-        values = doc["values"]
-        if not isinstance(values, list) or len(values) != expected_len:
-            raise SchemaError(
-                f"line {lineno}: expected a list of {expected_len} values for {schema_id!r}"
-            )
-        ids.append(_check_id(doc, lineno))
-        labels.append(_check_label(doc, lineno))
-        raw.append(_check_prob(doc, "raw_prob", lineno))
-        groups.append(_check_group(doc, lineno))
-        linenos.append(lineno)
-        if set(map(type, values)) <= {int, float}:  # the buffer itself takes True as 1.0
-            try:
-                flat.fromlist(values)  # all or nothing
-                continue
-            except OverflowError:  # an int past the float range
-                pass
-        held_out[len(linenos) - 1] = values
-        flat.fromlist([math.nan] * expected_len)
-    if schema_id is None:
+    cols = _load_columns(
+        path, partial(_feature_columns, schema=None),
+        lambda done: partial(_feature_columns, schema=done.schema),
+    )
+    if cols.schema is None:
         raise SchemaError(f"{path}: no feature rows")
-    _check_unique_ids(ids, linenos)
-    X = np.frombuffer(flat).reshape(len(ids), expected_len)
+    _check_unique_ids(cols.ids, cols.linenos)
+    import numpy as np  # after the decode, so the process forks its workers while it can
+
+    X = np.frombuffer(cols.values).reshape(len(cols.ids), len(cols.schema.feature_names))
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
         row = int(bad.argmax())
-        for v in held_out.get(row) or X[row].tolist():
+        lineno = cols.linenos[row]
+        for v in dict(cols.held_out).get(lineno) or X[row].tolist():
             if finite_float(v) is None:
-                raise SchemaError(f"line {linenos[row]}: values must be finite numbers, got {v!r}")
+                raise SchemaError(f"line {lineno}: values must be finite numbers, got {v!r}")
     return FeatureFile(
-        ids=tuple(ids),
+        ids=tuple(cols.ids),
         X=X,
-        y=np.frombuffer(labels),
-        raw_prob=np.frombuffer(raw),
-        groups=tuple(groups),
-        schema_id=schema_id,
-        feature_names=schema.feature_names,
+        y=np.frombuffer(cols.labels),
+        raw_prob=np.frombuffer(cols.probs),
+        groups=tuple(cols.groups),
+        schema_id=cols.schema.schema_id,
+        feature_names=cols.schema.feature_names,
     )
 
 
@@ -562,9 +638,6 @@ def fit_command(
     matter the input schema; "mps" uses every column, optionally masked.
     Subsampling draws without replacement from the file, seeded.
     """
-    import numpy as np
-    from . import calibrate
-
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if mask is not None and method == "ps":
@@ -575,6 +648,9 @@ def fit_command(
         raise ValueError(f"--subsample-fraction must lie in (0, 1], got {subsample_fraction!r}")
 
     ff = load_features(features_path)
+    import numpy as np  # after the decode, so the process forks its workers while it can
+    from . import calibrate
+
     if method == "ps":
         selected = ("logit_prob",)
     elif mask is not None:
@@ -647,11 +723,11 @@ def evaluate_command(
     With group_by="group", adds one report per group value next to the
     overall one; group slices with a single label class report AUC null.
     """
-    from . import calibrate, metrics
-
     if group_by is not None and group_by != "group":
         raise ValueError(f"only grouping by 'group' is supported, got {group_by!r}")
     ff = load_features(features_path)
+    from . import calibrate, metrics  # after the decode, as in fit_command
+
     model = calibrate.load_model(model_path) if model_path else None
     scores = _scores_for(ff, model)
 
@@ -680,9 +756,9 @@ def evaluate_command(
 
 def apply_command(features_path, model_path, output_path) -> int:
     """Score a feature file with a model, emitting scored JSONL only."""
-    from . import calibrate
-
     ff = load_features(features_path)
+    from . import calibrate  # after the decode, as in fit_command
+
     model = calibrate.load_model(model_path)
     _write_text(output_path, scored_rows(ff, _scores_for(ff, model)))
     return len(ff.ids)
@@ -691,31 +767,40 @@ def apply_command(features_path, model_path, output_path) -> int:
 # -- comparison ---------------------------------------------------------------
 
 
-def load_scored(path) -> "tuple[list[str], np.ndarray, np.ndarray]":
-    """A scored file's ids, labels and calibrated probabilities, in file
-    order; ids are compared as strings and must be unique."""
-    import numpy as np
-
-    ids, linenos, labels, probs = [], [], array("d"), array("d")
-    for lineno, doc in iter_jsonl(path, ("id", "label", "calibrated_prob")):
-        ids.append(_check_id(doc, lineno))
-        labels.append(_check_label(doc, lineno))
+def _scored_columns(lines) -> _Columns:
+    """Check ``(lineno, line)`` pairs of a scored file into columns. Runs in a
+    worker process, or in the parent."""
+    done = _Columns()
+    for lineno, line in lines:
+        doc = _decode(line, lineno, ("id", "label", "calibrated_prob"))
+        done.ids.append(_check_id(doc, lineno))
+        done.labels.append(_check_label(doc, lineno))
         _check_group(doc, lineno)
-        probs.append(_check_prob(doc, "calibrated_prob", lineno))
-        linenos.append(lineno)
-    _check_unique_ids(ids, linenos)
-    return ids, np.frombuffer(labels), np.frombuffer(probs)
+        done.probs.append(_check_prob(doc, "calibrated_prob", lineno))
+        done.linenos.append(lineno)
+    return done
+
+
+def load_scored(path) -> tuple[list[str], array, array]:
+    """A scored file's ids, labels and calibrated probabilities, in file
+    order, read on every CPU this process may use; ids are compared as
+    strings and must be unique. The numbers are float arrays, not numpy's,
+    so that a command loads numpy only after reading all of its files."""
+    cols = _load_columns(path, _scored_columns, lambda done: _scored_columns)
+    _check_unique_ids(cols.ids, cols.linenos)
+    return cols.ids, cols.labels, cols.probs
 
 
 def compare_command(
     path_a, path_b, output_path, fractions=(0.01, 0.05, 0.10, 0.20)
 ) -> tuple:
     """Join two scored files on id and stratify by probability shift."""
-    import numpy as np
+    ids_a, *columns_a = load_scored(path_a)
+    ids_b, *columns_b = load_scored(path_b)
+    import numpy as np  # after the decodes, so the process forks its workers while it can
     from . import metrics
 
-    ids_a, labels, scores_a = load_scored(path_a)
-    ids_b, labels_b, scores_b = load_scored(path_b)
+    labels, scores_a, labels_b, scores_b = map(np.frombuffer, columns_a + columns_b)
     row_of_b = {id_: i for i, id_ in enumerate(ids_b)}
     missing_in_b = [i for i in ids_a if i not in row_of_b]
     missing_in_a = sorted(set(row_of_b) - set(ids_a))

@@ -332,7 +332,7 @@ class TestStreaming:
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("\n" + json.dumps(make_record()) + "\n   \n")
-        assert [lineno for lineno, _ in pipeline.iter_jsonl(path)] == [2]
+        assert [lineno for lineno, _ in pipeline._lines(path)] == [2]
 
 
 def _featurize_summary(tmp_path, records):

@@ -1,5 +1,6 @@
-"""Featurize on worker processes: the same bytes, errors and warnings as a
-run in one process, and no process left behind."""
+"""Featurize and the feature- and scored-file loaders on worker processes:
+the same bytes, columns, errors and warnings as a run in one process, and
+no process left behind."""
 
 import concurrent.futures
 import json
@@ -8,6 +9,8 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
+from array import array
 from pathlib import Path
 
 import pytest
@@ -81,16 +84,25 @@ def mixed_lines() -> list[str]:
 
 
 @pytest.fixture
-def featurize_as_is(tmp_path, monkeypatch):
+def started(monkeypatch):
+    """The (workers, start method) of each pool started, in order."""
+
+    class Executor(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context):
+            pools.append((max_workers, mp_context.get_start_method()))
+            super().__init__(max_workers, mp_context=mp_context)
+
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
+    return pools
+
+
+@pytest.fixture
+def featurize_as_is(tmp_path, monkeypatch, started):
     """Featurize ``lines`` with ``cpus`` CPUs; the (workers, start method) of
     each pool started. A pool starts however little work is left, unless
     ``min_seconds`` is None, which keeps the real thresholds. Each run leaves
     no worker and no temporary file behind."""
-
-    class Executor(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, mp_context):
-            started.append((max_workers, mp_context.get_start_method()))
-            super().__init__(max_workers, mp_context=mp_context)
 
     def run(lines, cpus, min_seconds=0.0):
         started.clear()
@@ -108,8 +120,6 @@ def featurize_as_is(tmp_path, monkeypatch):
             assert list(out.parent.glob("*.tmp")) == []
         return out, list(started)
 
-    started = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
     return run
 
 
@@ -244,6 +254,175 @@ def test_a_spawned_worker_featurizes_a_chunk_without_numpy():
     assert (done.summary.used, done.summary.failed, done.clipped) == (CHUNK - 1, 1, True)
 
 
+# -- feature and scored files ----------------------------------------------------
+
+ROWS = 4  # rows per loader task here, so that forty rows make ten chunks
+LATE = 7 * ROWS  # a row of the eighth chunk, which a worker reads
+
+
+def feature_rows() -> list[dict]:
+    return [
+        {"id": f"r{i}" if i % 7 else f"データ{i}", "label": i % 2, "group": "gé" if i % 3 else None,
+         "schema_id": "ps+p", "values": [i / 7 - 2, i], "raw_prob": i / 40}
+        for i in range(10 * ROWS)
+    ]
+
+
+def scored_rows() -> list[dict]:
+    return [
+        {"id": f"r{i}" if i % 7 else 3 * i, "label": i % 2, "raw_prob": i / 40,
+         "calibrated_prob": 7 * i % 40 / 40, "group": "gé" if i % 3 else None, "schema_id": "ps"}
+        for i in range(10 * ROWS)
+    ]
+
+
+def as_lines(rows) -> list[str]:
+    """``rows`` as lines after a blank one, with a blank line that starts the
+    second chunk and two inside the third."""
+    lines = [json.dumps(row) for row in rows]
+    lines[ROWS - 1] += "\n"
+    lines[2 * ROWS + 1] += "\n   \n"
+    return [""] + lines
+
+
+def _columns(loaded) -> tuple:
+    """What a loader returned, each array as its bytes."""
+    if isinstance(loaded, pipeline.FeatureFile):
+        return (loaded.ids, loaded.groups, loaded.X.tobytes(), loaded.y.tobytes(),
+                loaded.raw_prob.tobytes(), loaded.schema_id, loaded.feature_names)
+    ids, labels, probs = loaded
+    return ids, labels.tobytes(), probs.tobytes()
+
+
+@pytest.fixture
+def load(tmp_path, monkeypatch, started):
+    """``loader`` on ``lines``, written with no newline after the last, in
+    tasks of ROWS rows: on 2 CPUs with workers forked, then spawned, however
+    little work is left, and then on one CPU. All three return the same
+    columns, each array as its bytes, or raise the same error, as (type,
+    message); that outcome, and the sizes of the pools each run started."""
+    monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
+    monkeypatch.setattr(pipeline, "POOL_MIN_SECONDS", dict.fromkeys(METHODS, 0.0))
+
+    def run(loader, lines):
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        outcomes, pools = [], []
+        for cpus, method in [(2, "fork"), (2, "spawn"), (1, "fork")]:
+            started.clear()
+            monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+            monkeypatch.setattr(pipeline, "_one_thread", lambda: method == "fork")
+            try:
+                outcomes.append(_columns(loader(path)))
+            except SqlCalibError as exc:
+                outcomes.append((type(exc), str(exc)))
+            assert multiprocessing.active_children() == []
+            assert all(m == method for _, m in started)
+            pools.append([workers for workers, _ in started])
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        return outcomes[0], pools
+
+    return run
+
+
+def test_pooled_feature_file_loads_as_in_one_process(load):
+    rows = feature_rows()
+    (ids, groups, X, y, raw, schema_id, names), pools = load(pipeline.load_features, as_lines(rows))
+    assert pools == [[2], [2], []]
+    assert ids == tuple(str(row["id"]) for row in rows) and groups == tuple(r["group"] for r in rows)
+    assert X == array("d", [v for row in rows for v in row["values"]]).tobytes()
+    assert y == array("d", [row["label"] for row in rows]).tobytes()
+    assert raw == array("d", [row["raw_prob"] for row in rows]).tobytes()
+    assert (schema_id, names) == ("ps+p", ("logit_prob", "p"))
+
+
+def test_pooled_scored_file_loads_as_in_one_process(load):
+    rows = scored_rows()
+    (ids, labels, probs), pools = load(pipeline.load_scored, as_lines(rows))
+    assert pools == [[2], [2], []]
+    assert ids == [str(row["id"]) for row in rows]
+    assert labels == array("d", [row["label"] for row in rows]).tobytes()
+    assert probs == array("d", [row["calibrated_prob"] for row in rows]).tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_descriptor_path_reaches_the_workers_as_the_file_it_names(load):
+    # a spawned worker does not inherit this process's descriptors
+    def via_descriptor(path):
+        with open(path, "rb") as fh:
+            return pipeline.load_features(f"/dev/fd/{fh.fileno()}")
+
+    rows = feature_rows()
+    (ids, *_), pools = load(via_descriptor, as_lines(rows))
+    assert pools == [[2], [2], []] and ids == tuple(str(row["id"]) for row in rows)
+
+
+BIG = 10**400  # an int past the float range: a value the loader holds out of its buffer
+
+
+@pytest.mark.parametrize(
+    "loader, rows, late, says",
+    [
+        (pipeline.load_features, feature_rows, "{not json", "line {}: Expecting property name"),
+        (pipeline.load_features, feature_rows, {"schema_id": "ps+q"},
+         "line {}: schema changed from 'ps+p' to 'ps+q'"),
+        (pipeline.load_features, feature_rows, {"id": "r1"}, "line {}: duplicate id 'r1'"),
+        (pipeline.load_features, feature_rows, {"values": [BIG, 1]},
+         f"line {{}}: values must be finite numbers, got {BIG!r}"),
+        (pipeline.load_scored, scored_rows, "{not json", "line {}: Expecting property name"),
+        (pipeline.load_scored, scored_rows, {"id": "r1"}, "line {}: duplicate id 'r1'"),
+    ],
+    ids=["features-json", "features-schema-change", "features-repeated-id",
+         "features-held-out-value", "scored-json", "scored-repeated-id"],
+)
+def test_an_error_in_a_worker_chunk_is_raised_as_in_one_process(load, loader, rows, late, says):
+    rows = rows()
+    lines = as_lines(rows)
+    lines[LATE + 1] = late if isinstance(late, str) else json.dumps({**rows[LATE], **late})
+    (error, message), pools = load(loader, lines)
+    assert pools == [[2], [2], []]
+    assert error is errors.JsonError if late == "{not json" else error is errors.SchemaError
+    lineno = "\n".join(lines).splitlines().index(lines[LATE + 1]) + 1
+    assert message.startswith(says.format(lineno))
+
+
+def _read(kind: str, path: Path):
+    """``path`` read as a feature, scored or candidate file: the columns
+    loaded, or the bytes featurize writes."""
+    if kind == "candidates":
+        out = path.parent / f"{path.name}.features"
+        pipeline.featurize_command(path, out, "mps-nb")
+        return _bytes(out)
+    return _columns({"features": pipeline.load_features, "scored": pipeline.load_scored}[kind](path))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize(
+    "kind, lines",
+    [("features", as_lines(feature_rows())), ("scored", as_lines(scored_rows())),
+     ("candidates", mixed_lines())],
+    ids=["features", "scored", "candidates"],
+)
+@pytest.mark.filterwarnings("ignore:sum_log_prob")
+def test_a_pipe_is_read_once_in_this_process(tmp_path, monkeypatch, started, kind, lines):
+    monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
+    monkeypatch.setattr(pipeline, "POOL_MIN_SECONDS", dict.fromkeys(METHODS, 0.0))
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+    text = "\n".join(lines)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"}, daemon=True
+    )
+    writer.start()
+    piped = _read(kind, fifo)
+    writer.join(timeout=60)
+    assert not writer.is_alive() and started == []
+    regular = tmp_path / "file"
+    regular.write_text(text, encoding="utf-8")
+    assert piped == _read(kind, regular) and len(started) == 1
+
+
 # The head of a child interpreter's script: sqlcalib from argv[1], featurize on
 # argv[2] CPUs with no work threshold, and the start method of each pool
 # started appended to ``methods``.
@@ -275,12 +454,11 @@ def run_child(code, *argv, env=None):
     )
 
 
-def featurize_in_children(tmp_path, env):
-    """``sqlcalib featurize`` on ``mixed_lines`` in a child on 2 CPUs, then on
-    1, which print and write the same; the start methods of the pools each
-    started, and whether each child had loaded numpy when the command returned."""
-    src = tmp_path / "in.jsonl"
-    src.write_text("\n".join(mixed_lines()) + "\n", encoding="utf-8")
+def cli_in_children(tmp_path, argv, env):
+    """``sqlcalib`` with the arguments ``argv(cpus)`` in a child on 2 CPUs,
+    then on 1, which print the same; the pooled child's stderr, the start
+    methods of the pools each child started, and whether each had loaded
+    numpy when the command returned."""
     code = CHILD + (
         "rc = cli.main(sys.argv[4:])\n"
         "with open(sys.argv[3], 'w') as fh:\n"
@@ -289,19 +467,33 @@ def featurize_in_children(tmp_path, env):
     )
     runs, started_and_numpy = [], []
     for cpus in (2, 1):
-        argv = ["featurize", "--input", str(src), "--output", str(tmp_path / f"f{cpus}.jsonl")]
         started = tmp_path / f"started{cpus}.json"
-        runs.append(run_child(code, str(ROOT / "src"), str(cpus), str(started), *argv, env=env))
+        runs.append(
+            run_child(code, str(ROOT / "src"), str(cpus), str(started), *argv(cpus), env=env)
+        )
         started_and_numpy.append(json.loads(started.read_text()))
     pooled, inline = runs
     assert pooled.returncode == inline.returncode == 0, pooled.stderr + inline.stderr
-    assert pooled.stderr.count("probability will be clipped") == 1
     assert "multi-threaded" not in pooled.stderr
     assert (pooled.stdout, pooled.stderr) == (inline.stdout, inline.stderr)
-    assert _bytes(tmp_path / "f2.jsonl") == _bytes(tmp_path / "f1.jsonl")
     assert list(tmp_path.glob("*.tmp")) == []
     methods, numpy_loaded = zip(*started_and_numpy)
-    return list(methods), list(numpy_loaded)
+    return pooled.stderr, list(methods), list(numpy_loaded)
+
+
+def featurize_in_children(tmp_path, env):
+    """``cli_in_children`` for ``sqlcalib featurize`` on ``mixed_lines``, whose
+    two children write the same files and warn once of clipping."""
+    src = tmp_path / "in.jsonl"
+    src.write_text("\n".join(mixed_lines()) + "\n", encoding="utf-8")
+    stderr, methods, numpy_loaded = cli_in_children(
+        tmp_path,
+        lambda cpus: ["featurize", "--input", str(src), "--output", str(tmp_path / f"f{cpus}.jsonl")],
+        env,
+    )
+    assert stderr.count("probability will be clipped") == 1
+    assert _bytes(tmp_path / "f2.jsonl") == _bytes(tmp_path / "f1.jsonl")
+    return methods, numpy_loaded
 
 
 def test_clipping_warning_is_printed_once_as_in_one_process(tmp_path):
@@ -318,6 +510,21 @@ def test_a_plain_cli_run_loads_no_numpy_and_forks(tmp_path):
     methods, numpy_loaded = featurize_in_children(tmp_path, env=dict.fromkeys(ONE_BLAS_THREAD))
     assert methods == [["fork"], []]
     assert numpy_loaded == [False, False]
+
+
+def test_a_plain_cli_fit_forks_its_loader_and_writes_the_same_model(tmp_path):
+    # fit loads numpy only once the feature file is decoded, so with no BLAS
+    # variable set the loader's pool still forks
+    src = tmp_path / "features.jsonl"
+    pipeline.synth_command(2 * pipeline.CHUNK_ROWS + 1, "mps-signal", 0, src)  # three chunks
+    _, methods, numpy_loaded = cli_in_children(
+        tmp_path,
+        lambda cpus: ["fit", "--input", str(src), "--output", str(tmp_path / f"m{cpus}.json")],
+        env=dict.fromkeys(ONE_BLAS_THREAD),
+    )
+    assert methods == [["fork"], []]
+    assert numpy_loaded == [True, True]
+    assert (tmp_path / "m2.json").read_bytes() == (tmp_path / "m1.json").read_bytes()
 
 
 @pytest.mark.parametrize(
