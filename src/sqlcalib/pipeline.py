@@ -13,7 +13,6 @@ so that the workers which decode it can still be forked.
 import json
 import math
 import os
-import time
 import warnings
 from array import array
 from collections import deque
@@ -319,14 +318,15 @@ def _feature_row(id_, label, group, schema_id, values, raw_prob) -> dict:
             "values": list(values), "raw_prob": raw_prob}
 
 
-CHUNK_RECORDS = 25  # records per featurize task: about 0.1 s of parsing, 100 KB to pickle
-CHUNK_ROWS = 2000  # rows per feature- or scored-file task: 0.04 s to decode 21 values each
-# The work left, in seconds, below which no pool starts, by the workers' start
-# method. Starting and stopping two workers takes about 0.016 s by fork and 0.25 s
-# by spawn, which imports `pipeline` but not numpy (2-vCPU VM). A fresh process
-# gained from a forked pool from about 0.25 s of work left, and from a spawned
-# one not even with 0.75 s.
-POOL_MIN_SECONDS = {"fork": 0.25, "spawn": 1.0}
+CHUNK_RECORDS = 25  # records per featurize task: about 0.02 s of parsing, 12 KB of rows back
+CHUNK_ROWS = 2000  # rows per loader task: 0.03 s to decode for a 21-value feature file, 0.01 s scored
+# The ranges left, once the parent's have fixed the state, from which a pool
+# starts, by the workers' start method: a count, so a file takes the same path
+# on every run. Starting and stopping two workers takes about 0.016 s by fork and
+# 0.25 s by spawn, which imports `pipeline` but not numpy (2-vCPU VM). In fresh
+# processes a forked pool beat one process from about 4 ranges left on candidate
+# and feature files and 8 on scored files, and a spawned one from 30-40 and 60.
+POOL_MIN_RANGES = {"fork": 4, "spawn": 40}
 
 
 def featurize_records(
@@ -395,12 +395,13 @@ def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
     ``stack`` owns. Each task is a byte range, which its worker reads
     itself, and at most two per worker are in flight, so memory stays flat
     in input size. The workers are forked from a process of one thread and
-    spawned from any other. With one CPU, one chunk left, or less than
-    POOL_MIN_SECONDS of work left for that start method at the pace of the
-    parent's chunks, no pool starts and the parent runs the rest itself.
-    It runs every chunk of a file it can read only once, such as a pipe.
+    spawned from any other. A pool starts only when at least
+    POOL_MIN_RANGES ranges are left for that start method; with fewer, the
+    parent runs the rest itself. With one CPU, or a file it can read only
+    once, such as a pipe, the parent streams the file and runs every chunk.
     """
-    if not os.path.isfile(path):
+    cpus = _cpus()
+    if cpus == 1 or not os.path.isfile(path):
         lines = _lines(path)
         for chunk in iter(lambda: list(islice(lines, size)), []):  # up to the first empty one
             done = task(chunk)
@@ -409,7 +410,6 @@ def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
         return
     path = os.path.realpath(path)  # /dev/stdin or /dev/fd/3 would name another file in a worker
     ranges = _ranges(path, size)
-    begun = time.perf_counter()
     for start, end, lineno in ranges:
         done = _run_range(task, path, start, end, lineno)
         yield done
@@ -418,12 +418,11 @@ def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
             break
     else:
         return
-    seconds_left = (time.perf_counter() - begun) * (os.path.getsize(path) - end) / end
-    cpus = _cpus()
-    ahead = list(islice(ranges, 2 * cpus))
     method = "fork" if _one_thread() else "spawn"
-    if cpus == 1 or len(ahead) < 2 or seconds_left < POOL_MIN_SECONDS[method]:
-        for start, end, lineno in chain(ahead, ranges):
+    ahead = list(islice(ranges, max(POOL_MIN_RANGES[method], cpus)))
+    ranges = chain(ahead, ranges)
+    if len(ahead) < POOL_MIN_RANGES[method]:
+        for start, end, lineno in ranges:
             yield _run_range(rest, path, start, end, lineno)
         return
     import multiprocessing  # here, so only a run that starts a pool imports them
@@ -433,7 +432,7 @@ def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
         ProcessPoolExecutor(min(cpus, len(ahead)), mp_context=multiprocessing.get_context(method))
     )
     submit = partial(pool.submit, _run_range, rest, path)
-    in_flight = deque(submit(*r) for r in ahead)
+    in_flight = deque(submit(*r) for r in islice(ranges, 2 * cpus))
     while in_flight:
         done = in_flight.popleft().result()
         in_flight.extend(submit(*r) for r in islice(ranges, 1))

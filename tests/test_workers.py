@@ -3,6 +3,7 @@ the same bytes, columns, errors and warnings as a run in one process, and
 no process left behind."""
 
 import concurrent.futures
+import itertools
 import json
 import multiprocessing
 import os
@@ -10,6 +11,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 from array import array
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from sqlcalib.errors import SqlCalibError
 ROOT = Path(__file__).resolve().parents[1]
 CHUNK = pipeline.CHUNK_RECORDS
 METHODS = ("fork", "spawn")
-THRESHOLDS = pipeline.POOL_MIN_SECONDS
+THRESHOLDS = pipeline.POOL_MIN_RANGES
 
 ERRORS = sorted(
     (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, SqlCalibError)),
@@ -100,15 +102,15 @@ def started(monkeypatch):
 @pytest.fixture
 def featurize_as_is(tmp_path, monkeypatch, started):
     """Featurize ``lines`` with ``cpus`` CPUs; the (workers, start method) of
-    each pool started. A pool starts however little work is left, unless
-    ``min_seconds`` is None, which keeps the real thresholds. Each run leaves
+    each pool started. A pool starts from ``min_ranges`` ranges left, two
+    unless given, or at the real thresholds if it is None. Each run leaves
     no worker and no temporary file behind."""
 
-    def run(lines, cpus, min_seconds=0.0):
+    def run(lines, cpus, min_ranges=2):
         started.clear()
         monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
-        thresholds = dict.fromkeys(METHODS, min_seconds) if min_seconds is not None else THRESHOLDS
-        monkeypatch.setattr(pipeline, "POOL_MIN_SECONDS", thresholds)
+        thresholds = dict.fromkeys(METHODS, min_ranges) if min_ranges is not None else THRESHOLDS
+        monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", thresholds)
         src = tmp_path / f"in{cpus}.jsonl"
         src.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out = tmp_path / f"out{cpus}" / "features.jsonl"
@@ -130,12 +132,12 @@ def featurize(monkeypatch, featurize_as_is):
     fork next to idle BLAS threads is safe here). Both runs write the same
     bytes or raise the same error; the sizes of the pools started."""
 
-    def run(lines, cpus, min_seconds=0.0):
+    def run(lines, cpus, min_ranges=2):
         outcomes, error = [], None
         for method in METHODS:
             monkeypatch.setattr(pipeline, "_one_thread", lambda: method == "fork")
             try:
-                out, started = featurize_as_is(lines, cpus, min_seconds)
+                out, started = featurize_as_is(lines, cpus, min_ranges)
             except SqlCalibError as exc:
                 outcomes.append((type(exc), str(exc)))
                 error = exc
@@ -188,9 +190,9 @@ def test_one_chunk_left_after_the_layout_starts_no_pool(featurize):
 
 
 def test_too_little_work_left_starts_no_pool(featurize):
-    # about 0.05 s of parsing, below either start method's threshold
+    # three ranges left after the first, below either start method's threshold
     lines = [json.dumps(good(i)) for i in range(4 * CHUNK)]
-    assert featurize(lines, cpus=2, min_seconds=None)[1] == []
+    assert featurize(lines, cpus=2, min_ranges=None)[1] == []
 
 
 LINE = "line {}:"  # what most errors say: the line they were found on
@@ -297,12 +299,12 @@ def _columns(loaded) -> tuple:
 @pytest.fixture
 def load(tmp_path, monkeypatch, started):
     """``loader`` on ``lines``, written with no newline after the last, in
-    tasks of ROWS rows: on 2 CPUs with workers forked, then spawned, however
-    little work is left, and then on one CPU. All three return the same
+    tasks of ROWS rows: on 2 CPUs with workers forked, then spawned, from two
+    ranges left, and then on one CPU. All three return the same
     columns, each array as its bytes, or raise the same error, as (type,
     message); that outcome, and the sizes of the pools each run started."""
     monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
-    monkeypatch.setattr(pipeline, "POOL_MIN_SECONDS", dict.fromkeys(METHODS, 0.0))
+    monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", dict.fromkeys(METHODS, 2))
 
     def run(loader, lines):
         path = tmp_path / "in.jsonl"
@@ -406,7 +408,7 @@ def _read(kind: str, path: Path):
 @pytest.mark.filterwarnings("ignore:sum_log_prob")
 def test_a_pipe_is_read_once_in_this_process(tmp_path, monkeypatch, started, kind, lines):
     monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
-    monkeypatch.setattr(pipeline, "POOL_MIN_SECONDS", dict.fromkeys(METHODS, 0.0))
+    monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", dict.fromkeys(METHODS, 2))
     monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
     text = "\n".join(lines)
     fifo = tmp_path / "pipe"
@@ -423,15 +425,59 @@ def test_a_pipe_is_read_once_in_this_process(tmp_path, monkeypatch, started, kin
     assert piped == _read(kind, regular) and len(started) == 1
 
 
+@pytest.mark.filterwarnings("ignore:sum_log_prob")
+def test_one_cpu_reads_each_file_once_in_this_process(tmp_path, monkeypatch, started):
+    def no_ranges(path, size):
+        raise AssertionError("cut into ranges")
+
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
+    monkeypatch.setattr(pipeline, "_ranges", no_ranges)
+    for kind, lines in [("candidates", mixed_lines()), ("scored", as_lines(scored_rows()))]:
+        path = tmp_path / kind
+        path.write_text("\n".join(lines), encoding="utf-8")
+        _read(kind, path)
+    assert started == []
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_the_ranges_left_decide_on_a_pool_whatever_the_clock(
+    tmp_path, monkeypatch, started, method
+):
+    # the real thresholds, with short ranges so that spawn's files stay small,
+    # and a clock that jumps 10 s a call: a file with as many ranges left as
+    # the threshold starts a pool on every run, and one with a range fewer none
+    clock = itertools.count(0.0, 10.0)
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+    monkeypatch.setattr(pipeline, "CHUNK_RECORDS", 2)
+    monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "_one_thread", lambda: method == "fork")
+    left = pipeline.POOL_MIN_RANGES[method]
+
+    def scored(i):
+        return {"id": f"r{i}", "label": i % 2, "calibrated_prob": i % 5 / 4}
+
+    for kind, size, row in [("candidates", 2, good), ("scored", ROWS, scored)]:
+        for ranges_left, pools in [(left, [(2, method)]), (left - 1, [])]:
+            path = tmp_path / f"{kind}{ranges_left}.jsonl"
+            rows = [json.dumps(row(i)) + "\n" for i in range((1 + ranges_left) * size)]
+            path.write_text("".join(rows), encoding="utf-8")
+            for _ in range(3):
+                started.clear()
+                _read(kind, path)
+                assert started == pools, (kind, ranges_left)
+                assert multiprocessing.active_children() == []
+
+
 # The head of a child interpreter's script: sqlcalib from argv[1], featurize on
-# argv[2] CPUs with no work threshold, and the start method of each pool
+# argv[2] CPUs from two ranges left, and the start method of each pool
 # started appended to ``methods``.
 CHILD = """\
 import concurrent.futures, json, os, sys, threading
 sys.path.insert(0, sys.argv[1])
 from sqlcalib import cli, pipeline
 pipeline._cpus = lambda: int(sys.argv[2])
-pipeline.POOL_MIN_SECONDS = dict.fromkeys(("fork", "spawn"), 0.0)
+pipeline.POOL_MIN_RANGES = dict.fromkeys(("fork", "spawn"), 2)
 methods = []
 class Executor(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, max_workers, mp_context):
