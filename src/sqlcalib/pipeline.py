@@ -388,55 +388,52 @@ def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
     """``task``'s result on each run of ``size`` non-blank lines of ``path``,
     in file order: the one reader of candidate, feature and scored files.
 
-    The parent runs chunks itself until ``fixed`` of a result returns the
-    task for the rest, which carries the state that result fixed (the
-    extras layout of a candidate file, the schema of a feature file). The
-    rest go to a pool of worker processes, one per CPU, whose shutdown
-    ``stack`` owns. Each task is a byte range, which its worker reads
-    itself, and at most two per worker are in flight, so memory stays flat
-    in input size. The workers are forked from a process of one thread and
-    spawned from any other. A pool starts only when at least
-    POOL_MIN_RANGES ranges are left for that start method; with fewer, the
-    parent runs the rest itself. With one CPU, or a file it can read only
-    once, such as a pipe, the parent streams the file and runs every chunk.
+    The parent streams the file once, running chunks itself until ``fixed``
+    of a result returns the task for the rest, which carries the state that
+    result fixed (the extras layout of a candidate file, the schema of a
+    feature file). It runs the rest itself too, unless it has more than
+    one CPU, the file can be read again (a pipe cannot), and at least
+    POOL_MIN_RANGES ranges are left for the workers' start method. Then
+    it closes its stream, and the rest go to a pool of worker processes,
+    one per CPU, whose shutdown ``stack`` owns. Each task is a byte range,
+    which its worker reads itself, and at most two per worker are in
+    flight, so memory stays flat in input size. The workers are forked
+    from a process of one thread and spawned from any other.
     """
-    cpus = _cpus()
-    if cpus == 1 or not os.path.isfile(path):
-        lines = _lines(path)
-        for chunk in iter(lambda: list(islice(lines, size)), []):  # up to the first empty one
-            done = task(chunk)
-            yield done
-            task = fixed(done) or task
-        return
-    path = os.path.realpath(path)  # /dev/stdin or /dev/fd/3 would name another file in a worker
-    ranges = _ranges(path, size)
-    for start, end, lineno in ranges:
-        done = _run_range(task, path, start, end, lineno)
+    lines = _lines(path)
+    # lazily, so that no chunk is held as a list: every task reads its whole chunk
+    chunks = (chain([first], islice(lines, size - 1)) for first in lines)
+    for ran, chunk in enumerate(chunks, start=1):
+        done = task(chunk)
         yield done
         rest = fixed(done)
         if rest is not None:
             break
     else:
         return
-    method = "fork" if _one_thread() else "spawn"
-    ahead = list(islice(ranges, max(POOL_MIN_RANGES[method], cpus)))
-    ranges = chain(ahead, ranges)
-    if len(ahead) < POOL_MIN_RANGES[method]:
-        for start, end, lineno in ranges:
-            yield _run_range(rest, path, start, end, lineno)
-        return
-    import multiprocessing  # here, so only a run that starts a pool imports them
-    from concurrent.futures import ProcessPoolExecutor
+    cpus = _cpus()
+    if cpus > 1 and os.path.isfile(path):
+        path = os.path.realpath(path)  # /dev/stdin or /dev/fd/3 would name another file in a worker
+        method = "fork" if _one_thread() else "spawn"
+        ranges = islice(_ranges(path, size), ran, None)  # past the ranges the parent ran
+        ahead = list(islice(ranges, max(POOL_MIN_RANGES[method], cpus)))
+        if len(ahead) >= POOL_MIN_RANGES[method]:
+            lines.close()
+            import multiprocessing  # here, so only a run that starts a pool imports them
+            from concurrent.futures import ProcessPoolExecutor
 
-    pool = stack.enter_context(
-        ProcessPoolExecutor(min(cpus, len(ahead)), mp_context=multiprocessing.get_context(method))
-    )
-    submit = partial(pool.submit, _run_range, rest, path)
-    in_flight = deque(submit(*r) for r in islice(ranges, 2 * cpus))
-    while in_flight:
-        done = in_flight.popleft().result()
-        in_flight.extend(submit(*r) for r in islice(ranges, 1))
-        yield done
+            pool = stack.enter_context(ProcessPoolExecutor(
+                min(cpus, len(ahead)), mp_context=multiprocessing.get_context(method)
+            ))
+            submit = partial(pool.submit, _run_range, rest, path)
+            ranges = chain(ahead, ranges)
+            in_flight = deque(submit(*r) for r in islice(ranges, 2 * cpus))
+            while in_flight:
+                done = in_flight.popleft().result()
+                in_flight.extend(submit(*r) for r in islice(ranges, 1))
+                yield done
+            return
+    yield from map(rest, chunks)
 
 
 def _rows(chunks: Iterable[_Chunk], summary: RunSummary) -> Iterator[dict]:

@@ -213,6 +213,12 @@ def test_load_features_allocates_under_four_matrices(signal_file):
     assert _peak_bytes(pipeline.load_features, signal_file) < 4 * X_BYTES
 
 
+def test_load_features_allocates_under_four_matrices_on_one_cpu(signal_file, monkeypatch):
+    # one CPU, like a pipe, streams every chunk through the parent
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
+    assert _peak_bytes(pipeline.load_features, signal_file) < 4 * X_BYTES
+
+
 def test_synth_allocates_under_four_matrices(tmp_path):
     peak = _peak_bytes(pipeline.synth_command, N_ROWS, "mps-signal", 0, tmp_path / "s.jsonl")
     assert peak < 4 * X_BYTES

@@ -10,12 +10,16 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from array import array
+from contextlib import ExitStack
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqlcalib import errors, pipeline
 from sqlcalib.clausefreq import resolve_schema
@@ -437,6 +441,73 @@ def test_one_cpu_reads_each_file_once_in_this_process(tmp_path, monkeypatch, sta
         path.write_text("\n".join(lines), encoding="utf-8")
         _read(kind, path)
     assert started == []
+
+
+def test_two_ranges_per_worker_are_in_flight(tmp_path, monkeypatch):
+    # a range is in flight from its submit until the parent takes its result
+    in_flight, counts = set(), []
+
+    class Executor(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            take = future.result
+
+            def result(timeout=None):
+                in_flight.discard(future)
+                return take(timeout)
+
+            future.result = result
+            in_flight.add(future)
+            counts.append(len(in_flight))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
+    monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
+    monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", dict.fromkeys(METHODS, 2))
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "_one_thread", lambda: True)
+    rows = scored_rows()
+    path = tmp_path / "in.jsonl"
+    path.write_text("\n".join(as_lines(rows)), encoding="utf-8")
+    assert pipeline.load_scored(path)[0] == [str(row["id"]) for row in rows]
+    # the parent reads the first of ten ranges; each of the nine left is submitted once
+    assert len(counts) == 9 and max(counts) == 4 and not in_flight
+
+
+def _pairs(lines) -> list:
+    """A task that returns the ``(lineno, line)`` pairs of its chunk."""
+    return list(lines)
+
+
+@settings(deadline=None)
+@given(
+    lines=st.lists(st.sampled_from(["", " \t", "a", "{}", "b c", "[1]"]), max_size=60),
+    newline=st.booleans(),
+    size=st.integers(1, 7),
+    unfixed=st.integers(0, 3),
+)
+@example(lines=["a", "", "b c"] * 8, newline=False, size=3, unfixed=1)
+def test_the_chunks_in_file_order_are_one_pass_over_the_file(lines, newline, size, unfixed):
+    # ``unfixed`` chunks leave the state unfixed, and the next one fixes it
+    text = "".join(line + "\n" for line in lines)
+    data = (text if newline else text[:-1]).encode()
+    expected = [(n, line) for n, line in enumerate(data.splitlines(keepends=True), 1) if line.strip()]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = Path(tmp) / "in.jsonl"
+        path.write_bytes(data)
+        patch.setattr(pipeline, "POOL_MIN_RANGES", dict.fromkeys(METHODS, 2))
+        patch.setattr(pipeline, "_one_thread", lambda: True)
+        for cpus in (2, 1):
+            patch.setattr(pipeline, "_cpus", lambda: cpus)
+            calls = itertools.count()
+            with ExitStack() as stack:
+                chunks = list(pipeline._in_file_order(
+                    path, size, _pairs, lambda done: _pairs if next(calls) == unfixed else None,
+                    stack,
+                ))
+            assert multiprocessing.active_children() == []
+            assert list(itertools.chain(*chunks)) == list(pipeline._lines(path)) == expected
+            assert all(len(chunk) == size for chunk in chunks[:-1])
 
 
 @pytest.mark.parametrize("method", METHODS)
