@@ -13,7 +13,7 @@ production serves each syntactic shape (``a = b = c`` stays an error).
 from . import lexer
 from .errors import ParseError
 from .lexer import EOF, IDENT, KEYWORD, LPAREN, NUMBER, OP, RPAREN, SEMI, STRING, Token
-from .sqlast import QueryTree, SelectStatement, SetOperation
+from .sqlast import SET_OPS, QueryTree, SelectStatement, SetOperation
 
 _COMPARISONS = ("=", "==", "!=", "<>", "<", "<=", ">", ">=")
 _ARITHMETIC = ("+", "-", "||", "*", "/", "%")
@@ -63,17 +63,27 @@ class _Parser:
         tok = self.tokens[self.pos]
         return tok.kind == KEYWORD and tok.text in words
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != KEYWORD or tok.text != word:
-            raise ParseError(f"expected {word.upper()}, found {tok.text!r}", tok.offset)
-        return self.advance()
+    def accept(self, *words: str) -> str | None:
+        """Consume the next token if it is a keyword in ``words``; its text, or None."""
+        tok = self.tokens[self.pos]
+        if tok.kind == KEYWORD and tok.text in words:  # a keyword is never EOF
+            self.pos += 1
+            self.out.append(tok.text)
+            return tok.text
+        return None
+
+    def expect_keyword(self, word: str) -> None:
+        if not self.accept(word):
+            self.fail(word.upper())
 
     def expect_kind(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.offset)
+        if self.peek().kind != kind:
+            self.fail(what)
         return self.advance()
+
+    def fail(self, what: str):
+        tok = self.peek()
+        raise ParseError(f"expected {what}, found {tok.text!r}", tok.offset)
 
     def nested(self, parse, *args):
         """``parse(*args)`` one nesting level deeper; past MAX_DEPTH is a ParseError."""
@@ -90,19 +100,13 @@ class _Parser:
         parse(*args)
         return " ".join(self.out[mark:])
 
-    def fail(self, what: str):
-        tok = self.peek()
-        raise ParseError(f"expected {what}, found {tok.text!r}", tok.offset)
-
     # -- statements -----------------------------------------------------
 
     def parse_query(self) -> QueryTree:
         entry = self.depth
         tree: QueryTree = self.parse_select()
-        while self.at_keyword("union", "intersect", "except"):
-            op = self.advance().text
-            if op == "union" and self.at_keyword("all"):
-                self.advance()
+        while op := self.accept(*SET_OPS):  # a keyword is one word: UNION ALL is two
+            if op == "union" and self.accept("all"):
                 op = "union all"
             self.depth += 1  # each term nests the left-deep tree one level further
             tree = SetOperation(op, tree, self.nested(self.parse_select))
@@ -111,28 +115,22 @@ class _Parser:
 
     def parse_select(self) -> SelectStatement:
         self.expect_keyword("select")
-        distinct = where = group_by = having = order_by = limit = None
-        if self.at_keyword("distinct"):
-            distinct = self.advance().text
+        where = group_by = having = order_by = limit = None
+        distinct = self.accept("distinct")
         select = self.text_of(self.comma_list, self.parse_select_item)
         self.expect_keyword("from")
         tables, on, from_body = self.parse_from()
-        if self.at_keyword("where"):
-            self.advance()
+        if self.accept("where"):
             where = self.text_of(self.parse_expr)
-        if self.at_keyword("group"):
-            self.advance()
+        if self.accept("group"):
             self.expect_keyword("by")
             group_by = self.text_of(self.comma_list, self.parse_expr)
-        if self.at_keyword("having"):
-            self.advance()
+        if self.accept("having"):
             having = self.text_of(self.parse_expr)
-        if self.at_keyword("order"):
-            self.advance()
+        if self.accept("order"):
             self.expect_keyword("by")
             order_by = self.text_of(self.comma_list, self.parse_order_item)
-        if self.at_keyword("limit"):
-            self.advance()
+        if self.accept("limit"):
             limit = self.expect_kind(NUMBER, "number after LIMIT").text
         clauses = (distinct, select, tables, on, where, group_by, having, order_by, limit)
         return SelectStatement(clauses, from_body)
@@ -151,8 +149,7 @@ class _Parser:
         self.parse_alias()
 
     def parse_alias(self) -> None:
-        if self.at_keyword("as"):
-            self.advance()
+        if self.accept("as"):
             self.expect_kind(IDENT, "alias name")
         elif self.peek().kind == IDENT:
             self.advance()
@@ -189,8 +186,7 @@ class _Parser:
         if word in ("inner", "cross"):
             self.expect_keyword("join")
         elif word in ("left", "right", "full"):
-            if self.at_keyword("outer"):
-                self.advance()
+            self.accept("outer")
             self.expect_keyword("join")
 
     def parse_table_ref(self) -> None:
@@ -204,13 +200,11 @@ class _Parser:
 
     def parse_expr(self) -> None:
         self.parse_not()
-        while self.at_keyword("and", "or"):
-            self.advance()
+        while self.accept("and", "or"):
             self.parse_not()
 
     def parse_not(self) -> None:
-        if self.at_keyword("not"):
-            self.advance()
+        if self.accept("not"):
             self.nested(self.parse_not)
         else:
             self.parse_predicate()
@@ -224,21 +218,16 @@ class _Parser:
             return
         if self.at_keyword("not") and self.peek(1).kind == KEYWORD and self.peek(1).text in ("in", "between", "like"):
             self.advance()
-        if self.at_keyword("is"):
-            self.advance()
-            if self.at_keyword("not"):
-                self.advance()
+        if self.accept("is"):
+            self.accept("not")
             self.expect_keyword("null")
-        elif self.at_keyword("between"):
-            self.advance()
+        elif self.accept("between"):
             self.parse_arithmetic()
             self.expect_keyword("and")
             self.parse_arithmetic()
-        elif self.at_keyword("in"):
-            self.advance()
+        elif self.accept("in"):
             self.parse_in_operand()
-        elif self.at_keyword("like"):
-            self.advance()
+        elif self.accept("like"):
             self.parse_arithmetic()
 
     def parse_in_operand(self) -> None:
@@ -298,15 +287,13 @@ class _Parser:
         if self.peek().kind == OP and self.peek().text == "*":
             self.advance()
         else:
-            if self.at_keyword("distinct"):
-                self.advance()
+            self.accept("distinct")
             self.nested(self.comma_list, self.parse_expr)
         self.expect_kind(RPAREN, ") to close call")
 
     def parse_order_item(self) -> None:
         self.parse_expr()
-        if self.at_keyword("asc", "desc"):
-            self.advance()
+        self.accept("asc", "desc")
 
     def parse_name_chain(self, what: str) -> str:
         """Consume a dotted name as one output entry; return its last part."""

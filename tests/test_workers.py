@@ -13,6 +13,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from array import array
 from contextlib import ExitStack
 from pathlib import Path
@@ -508,6 +509,161 @@ def test_the_chunks_in_file_order_are_one_pass_over_the_file(lines, newline, siz
             assert multiprocessing.active_children() == []
             assert list(itertools.chain(*chunks)) == list(pipeline._lines(path)) == expected
             assert all(len(chunk) == size for chunk in chunks[:-1])
+
+
+# -- each reader on drawn files, against one CPU ----------------------------------
+
+ROW = "row"  # a layout entry for the next row; the others are blank lines
+LAYOUT = st.lists(st.sampled_from([ROW, ROW, ROW, "", " \t"]), max_size=40)
+NAN = float("nan")  # json.dumps writes NaN, and Python's json reads it
+
+
+def _with(**change):
+    return lambda docs, i: json.dumps({**docs[i], **change})
+
+
+# each fault as the line it writes for row i of docs
+FAULTS = {
+    "json": lambda docs, i: "{not json",
+    "missing-field": lambda docs, i: json.dumps({k: v for k, v in docs[i].items() if k != "label"}),
+    "repeated-id": lambda docs, i: json.dumps({**docs[i], "id": docs[i - 1]["id"]}),
+    "schema-change": _with(schema_id="ps+q"),
+    "non-finite-log-prob": _with(candidates=[cand("select a from t", NAN)]),
+    "non-finite-value": _with(values=[NAN, 1]),
+    "non-finite-prob": _with(calibrated_prob=NAN),
+    "extras-clash": _with(extra_features={"logit_prob": 1.0}),
+}
+
+
+def fault_at(*names):
+    """No fault, or one of ``names`` at a drawn row."""
+    return st.none() | st.tuples(st.sampled_from(names), st.integers(0, 39))
+
+
+def write_drawn(path, layout, docs, newline, fault) -> None:
+    """``docs`` as JSON lines in the places of the non-blank entries of
+    ``layout``, the blank ones in between, with or without a newline after
+    the last; ``fault``, if any, writes its line for one row instead."""
+    lines = [json.dumps(doc) for doc in docs]
+    if fault is not None and docs:
+        name, at = fault
+        lines[at % len(docs)] = FAULTS[name](docs, at % len(docs))
+    rows = iter(lines)
+    text = "".join((next(rows) if entry.strip() else entry) + "\n" for entry in layout)
+    path.write_text(text if newline else text[:-1], encoding="utf-8")
+
+
+def as_on_one_cpu(read, method, chunk, size):
+    """``read()`` in chunks of ``size`` rows (``chunk`` names the constant) on
+    2 CPUs, its workers started by ``method`` from two ranges left, and then
+    on one CPU. Both return the same, or raise the same error, as (type,
+    message), and warn as a fresh process would, the same; that outcome."""
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, chunk, size)
+        patch.setattr(pipeline, "POOL_MIN_RANGES", dict.fromkeys(METHODS, 2))
+        patch.setattr(pipeline, "_one_thread", lambda: method == "fork")
+        for cpus in (2, 1):
+            patch.setattr(pipeline, "_cpus", lambda: cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")  # once per text, from a new registry
+                try:
+                    outcome = read()
+                except SqlCalibError as exc:
+                    outcome = (type(exc), str(exc))
+            assert multiprocessing.active_children() == []
+            outcomes.append((outcome, [str(w.message) for w in caught]))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0][0]
+
+
+def candidate(kind, i) -> dict:
+    """A record that is usable with the extra ``p_true`` (good), with no
+    extras or with a clipped log-prob, or one that is unusable."""
+    if kind == "unusable":
+        return {"id": f"u{i}", "label": 0, "candidates": [cand("selec nope")]}
+    doc = good(i, extra_features={}) if kind == "no-extras" else good(i)
+    if kind == "clipped":
+        doc["candidates"][1]["sum_log_prob"] = 0.25
+    return doc
+
+
+# files whose first chunk fixes the state and whose rest goes to workers: spawned,
+# with a fault late in the file, and ending in a row without a newline
+SPAWNED = dict(layout=[ROW, ""] * 8, newline=True, size=3, method="spawn", fault=("json", 7))
+LATE_FAULT = dict(layout=[ROW, "", ROW, " \t"] * 6, newline=True, size=2, method="fork")
+NO_NEWLINE = dict(layout=["", ROW, ROW, " \t", ROW] * 5, newline=False, size=2, method="fork",
+                  fault=None)
+
+
+@settings(deadline=None)
+@given(
+    layout=st.lists(
+        st.sampled_from(["good", "good", "unusable", "clipped", "no-extras", "", " \t"]),
+        max_size=40,
+    ),
+    newline=st.booleans(),
+    size=st.integers(1, 7),
+    method=st.just("fork"),
+    fault=fault_at("json", "missing-field", "non-finite-log-prob", "extras-clash"),
+)
+@example(**{**SPAWNED, "layout": ["good", ""] * 8})
+@example(**{**LATE_FAULT, "layout": ["good", "", "clipped", " \t"] * 6}, fault=("json", 9))
+@example(**{**NO_NEWLINE, "layout": ["", "good", "unusable", " \t", "no-extras"] * 5})
+def test_featurize_writes_and_warns_as_on_one_cpu(layout, newline, size, method, fault):
+    docs = [candidate(kind, i) for i, kind in enumerate(k for k in layout if k.strip())]
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.jsonl", Path(tmp) / "features.jsonl"
+        write_drawn(src, layout, docs, newline, fault)
+
+        def run():
+            pipeline.featurize_command(src, out, "mps-nb")
+            return _bytes(out)
+
+        outcome = as_on_one_cpu(run, method, "CHUNK_RECORDS", size)
+        assert list(Path(tmp).glob("*.tmp")) == []
+    if not isinstance(outcome[0], type):  # written: every record counted, rows in file order
+        rows, summary = outcome
+        assert json.loads(summary)["input_records"] == len(docs)
+        used = [int(json.loads(row)["id"][1:]) for row in rows.splitlines()]
+        assert used == sorted(used)
+
+
+def load_drawn(loader, layout, docs, newline, size, method, fault):
+    """``as_on_one_cpu`` for ``loader`` on ``docs`` written by ``write_drawn``;
+    when it loads, its ids are those of ``docs``, in order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.jsonl"
+        write_drawn(path, layout, docs, newline, fault)
+        outcome = as_on_one_cpu(lambda: _columns(loader(path)), method, "CHUNK_ROWS", size)
+    if not isinstance(outcome[0], type):
+        assert list(outcome[0]) == [str(doc["id"]) for doc in docs]
+
+
+@settings(deadline=None)
+@given(
+    layout=LAYOUT, newline=st.booleans(), size=st.integers(1, 7), method=st.just("fork"),
+    fault=fault_at("json", "missing-field", "repeated-id", "schema-change", "non-finite-value"),
+)
+@example(**SPAWNED)
+@example(**LATE_FAULT, fault=("non-finite-value", 9))
+@example(**NO_NEWLINE)
+def test_a_feature_file_loads_as_on_one_cpu(layout, newline, size, method, fault):
+    docs = feature_rows()[:layout.count(ROW)]
+    load_drawn(pipeline.load_features, layout, docs, newline, size, method, fault)
+
+
+@settings(deadline=None)
+@given(
+    layout=LAYOUT, newline=st.booleans(), size=st.integers(1, 7), method=st.just("fork"),
+    fault=fault_at("json", "missing-field", "repeated-id", "non-finite-prob"),
+)
+@example(**SPAWNED)
+@example(**LATE_FAULT, fault=("repeated-id", 9))
+@example(**NO_NEWLINE)
+def test_a_scored_file_loads_as_on_one_cpu(layout, newline, size, method, fault):
+    docs = scored_rows()[:layout.count(ROW)]
+    load_drawn(pipeline.load_scored, layout, docs, newline, size, method, fault)
 
 
 @pytest.mark.parametrize("method", METHODS)
