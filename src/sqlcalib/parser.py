@@ -12,12 +12,15 @@ production serves each syntactic shape (``a = b = c`` stays an error).
 
 from . import lexer
 from .errors import ParseError
-from .lexer import EOF, IDENT, KEYWORD, LPAREN, NUMBER, OP, RPAREN, SEMI, STRING, Token
+from .lexer import COMMA, DOT, EOF, IDENT, KEYWORD, LPAREN, NUMBER, OP, RPAREN, SEMI, STRING, Token
 from .sqlast import SET_OPS, QueryTree, SelectStatement, SetOperation
 
 _COMPARISONS = ("=", "==", "!=", "<>", "<", "<=", ">", ">=")
 _ARITHMETIC = ("+", "-", "||", "*", "/", "%")
 _JOIN_STARTERS = ("join", "inner", "left", "right", "full", "cross")
+# Productions test one key per token: a keyword's or operator's text, any
+# other token's kind. No keyword or operator is spelt like a kind.
+_SPELT = (KEYWORD, OP)
 # Nesting levels (brackets, subqueries, NOT or sign prefixes, set-operation
 # terms) a statement may open; keeps every tree walk clear of the recursion limit.
 MAX_DEPTH = 50
@@ -29,28 +32,28 @@ def parse_sql(text: str) -> QueryTree:
         raise ParseError("empty input, expected SELECT", 0)
     p = _Parser(lexer.tokenize(text))
     tree = p.parse_query()
-    if p.peek().kind == SEMI:
-        p.advance()
-    tok = p.peek()
-    if tok.kind != EOF:
+    p.accept(SEMI)
+    if p.key() != EOF:
+        tok = p.tokens[p.pos]
         raise ParseError(f"trailing input {tok.text!r}, expected end of statement", tok.offset)
     return tree
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        # pos never passes the first EOF and peek looks at most one token
-        # ahead, so a second EOF keeps every peek inside the list
+        # pos never passes the first EOF and a production looks at most one
+        # token ahead, so a second EOF keeps every look inside the list
         tokens.append(tokens[-1])
         self.tokens = tokens
+        self.keys = [text if kind in _SPELT else kind for kind, text, _ in tokens]
         self.pos = 0
         self.depth = 0
         self.out: list[str] = []  # the canonical text of each consumed token
 
     # -- cursor helpers -------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
+    def key(self, ahead: int = 0) -> str:
+        return self.keys[self.pos + ahead]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -59,37 +62,27 @@ class _Parser:
             self.out.append(tok.text)
         return tok
 
-    def at_keyword(self, *words: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == KEYWORD and tok.text in words
-
-    def accept(self, *words: str) -> str | None:
-        """Consume the next token if it is a keyword in ``words``; its text, or None."""
-        tok = self.tokens[self.pos]
-        if tok.kind == KEYWORD and tok.text in words:  # a keyword is never EOF
-            self.pos += 1
-            self.out.append(tok.text)
-            return tok.text
+    def accept(self, *wanted: str) -> str | None:
+        """Consume the next token if its key is in ``wanted``; its text, or None."""
+        if self.keys[self.pos] in wanted:
+            return self.advance().text
         return None
 
-    def expect_keyword(self, word: str) -> None:
-        if not self.accept(word):
-            self.fail(word.upper())
-
-    def expect_kind(self, kind: str, what: str) -> Token:
-        if self.peek().kind != kind:
-            self.fail(what)
-        return self.advance()
+    def expect(self, wanted: str, what: str = "") -> str:
+        """Consume the next token, whose key must be ``wanted``; its text."""
+        if self.keys[self.pos] != wanted:
+            self.fail(what or wanted.upper())
+        return self.advance().text
 
     def fail(self, what: str):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         raise ParseError(f"expected {what}, found {tok.text!r}", tok.offset)
 
     def nested(self, parse, *args):
         """``parse(*args)`` one nesting level deeper; past MAX_DEPTH is a ParseError."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", self.peek().offset)
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", self.tokens[self.pos].offset)
         result = parse(*args)
         self.depth -= 1
         return result
@@ -114,45 +107,43 @@ class _Parser:
         return tree
 
     def parse_select(self) -> SelectStatement:
-        self.expect_keyword("select")
+        self.expect("select")
         where = group_by = having = order_by = limit = None
         distinct = self.accept("distinct")
         select = self.text_of(self.comma_list, self.parse_select_item)
-        self.expect_keyword("from")
+        self.expect("from")
         tables, on, from_body = self.parse_from()
         if self.accept("where"):
             where = self.text_of(self.parse_expr)
         if self.accept("group"):
-            self.expect_keyword("by")
+            self.expect("by")
             group_by = self.text_of(self.comma_list, self.parse_expr)
         if self.accept("having"):
             having = self.text_of(self.parse_expr)
         if self.accept("order"):
-            self.expect_keyword("by")
+            self.expect("by")
             order_by = self.text_of(self.comma_list, self.parse_order_item)
         if self.accept("limit"):
-            limit = self.expect_kind(NUMBER, "number after LIMIT").text
+            limit = self.expect(NUMBER, "number after LIMIT")
         clauses = (distinct, select, tables, on, where, group_by, having, order_by, limit)
         return SelectStatement(clauses, from_body)
 
     def comma_list(self, parse_item) -> None:
         parse_item()
-        while self.peek().kind == lexer.COMMA:
-            self.advance()
+        while self.accept(COMMA):
             parse_item()
 
     def parse_select_item(self) -> None:
-        if self.peek().kind == OP and self.peek().text == "*":
-            self.advance()
+        if self.accept("*"):
             return
         self.parse_expr()
         self.parse_alias()
 
     def parse_alias(self) -> None:
         if self.accept("as"):
-            self.expect_kind(IDENT, "alias name")
-        elif self.peek().kind == IDENT:
-            self.advance()
+            self.expect(IDENT, "alias name")
+        else:
+            self.accept(IDENT)
 
     # -- FROM -----------------------------------------------------------
 
@@ -165,13 +156,12 @@ class _Parser:
         ons = []
         self.parse_table_ref()
         while True:
-            if self.peek().kind == lexer.COMMA:
-                self.advance()
+            if self.accept(COMMA):
                 self.parse_table_ref()
-            elif self.at_keyword(*_JOIN_STARTERS):
+            elif self.key() in _JOIN_STARTERS:
                 self.parse_join_connector()
                 self.parse_table_ref()
-                if self.at_keyword("on"):
+                if self.key() == "on":
                     tables += out[segment:]
                     self.advance()
                     ons.append(self.text_of(self.parse_expr))
@@ -184,13 +174,13 @@ class _Parser:
     def parse_join_connector(self) -> None:
         word = self.advance().text
         if word in ("inner", "cross"):
-            self.expect_keyword("join")
+            self.expect("join")
         elif word in ("left", "right", "full"):
             self.accept("outer")
-            self.expect_keyword("join")
+            self.expect("join")
 
     def parse_table_ref(self) -> None:
-        if self.peek().kind == LPAREN and self.peek(1).kind == KEYWORD and self.peek(1).text == "select":
+        if self.key() == LPAREN and self.key(1) == "select":
             self.parse_subquery()
         else:
             self.parse_name_chain("table name")
@@ -211,19 +201,19 @@ class _Parser:
 
     def parse_predicate(self) -> None:
         self.parse_arithmetic()
-        tok = self.peek()
-        if tok.kind == OP and tok.text in _COMPARISONS:
+        key = self.keys[self.pos]
+        if key in _COMPARISONS:
             self.advance()
             self.parse_arithmetic()
             return
-        if self.at_keyword("not") and self.peek(1).kind == KEYWORD and self.peek(1).text in ("in", "between", "like"):
+        if key == "not" and self.keys[self.pos + 1] in ("in", "between", "like"):
             self.advance()
         if self.accept("is"):
             self.accept("not")
-            self.expect_keyword("null")
+            self.expect("null")
         elif self.accept("between"):
             self.parse_arithmetic()
-            self.expect_keyword("and")
+            self.expect("and")
             self.parse_arithmetic()
         elif self.accept("in"):
             self.parse_in_operand()
@@ -231,65 +221,62 @@ class _Parser:
             self.parse_arithmetic()
 
     def parse_in_operand(self) -> None:
-        if self.peek().kind != LPAREN:
+        if self.key() != LPAREN:
             self.fail("( after IN")
-        if self.peek(1).kind == KEYWORD and self.peek(1).text == "select":
+        if self.key(1) == "select":
             self.parse_subquery()
             return
         self.advance()
         self.nested(self.comma_list, self.parse_expr)
-        self.expect_kind(RPAREN, ")")
+        self.expect(RPAREN)
 
     def parse_arithmetic(self) -> None:
         self.parse_unary()
-        while self.peek().kind == OP and self.peek().text in _ARITHMETIC:
+        while self.keys[self.pos] in _ARITHMETIC:
             self.advance()
             self.parse_unary()
 
     def parse_unary(self) -> None:
-        if self.peek().kind == OP and self.peek().text in ("-", "+"):
+        if self.keys[self.pos] in ("-", "+"):
             self.advance()
             self.nested(self.parse_unary)
         else:
             self.parse_primary()
 
     def parse_primary(self) -> None:
-        tok = self.peek()
-        if tok.kind == NUMBER or (tok.kind == KEYWORD and tok.text == "null"):
+        key = self.keys[self.pos]
+        if key == NUMBER or key == "null":
             self.advance()
-        elif tok.kind == STRING:
+        elif key == STRING:
+            self.out.append(lexer.quote_literal(self.tokens[self.pos].text))
+            self.pos += 1
+        elif key == "exists":
             self.advance()
-            self.out[-1] = lexer.quote_literal(tok.text)
-        elif tok.kind == KEYWORD and tok.text == "exists":
-            self.advance()
-            if self.peek().kind != LPAREN:
+            if self.keys[self.pos] != LPAREN:
                 self.fail("( after EXISTS")
             self.parse_subquery()
-        elif tok.kind == LPAREN:
-            if self.peek(1).kind == KEYWORD and self.peek(1).text == "select":
+        elif key == LPAREN:
+            if self.keys[self.pos + 1] == "select":
                 self.parse_subquery()
                 return
             self.advance()
             self.nested(self.parse_expr)
-            self.expect_kind(RPAREN, ")")
-        elif tok.kind == IDENT:
+            self.expect(RPAREN)
+        elif key == IDENT:
             last = self.parse_name_chain("column name")
-            if self.peek().kind == LPAREN and last != "*":
+            if self.keys[self.pos] == LPAREN and last != "*":
                 self.parse_call()
         else:
             self.fail("expression")
 
     def parse_call(self) -> None:
         self.advance()  # (
-        if self.peek().kind == RPAREN:
-            self.advance()
+        if self.accept(RPAREN):
             return
-        if self.peek().kind == OP and self.peek().text == "*":
-            self.advance()
-        else:
+        if not self.accept("*"):
             self.accept("distinct")
             self.nested(self.comma_list, self.parse_expr)
-        self.expect_kind(RPAREN, ") to close call")
+        self.expect(RPAREN, ") to close call")
 
     def parse_order_item(self) -> None:
         self.parse_expr()
@@ -297,21 +284,19 @@ class _Parser:
 
     def parse_name_chain(self, what: str) -> str:
         """Consume a dotted name as one output entry; return its last part."""
-        last = self.expect_kind(IDENT, what).text
-        if self.peek().kind != lexer.DOT:
+        last = self.expect(IDENT, what)
+        if self.key() != DOT:
             return last
         mark = len(self.out) - 1
-        while self.peek().kind == lexer.DOT:
-            self.advance()
-            nxt = self.peek()
-            if nxt.kind == OP and nxt.text == "*":
-                last = self.advance().text
+        while self.accept(DOT):
+            if self.accept("*"):
+                last = "*"
                 break
-            last = self.expect_kind(IDENT, "name after '.'").text
+            last = self.expect(IDENT, "name after '.'")
         self.out[mark:] = ["".join(self.out[mark:])]
         return last
 
     def parse_subquery(self) -> None:
-        self.expect_kind(LPAREN, "(")
+        self.expect(LPAREN)
         self.nested(self.parse_query)
-        self.expect_kind(RPAREN, ") to close subquery")
+        self.expect(RPAREN, ") to close subquery")

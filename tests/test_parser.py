@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sqlcalib import lexer
 from sqlcalib.errors import ParseError
 from sqlcalib.lexer import KEYWORD, NUMBER, Token, tokenize
 from sqlcalib.parser import parse_sql
@@ -25,6 +26,19 @@ class TestTokenize:
     def test_number_with_a_multi_digit_exponent_is_one_token_as_written(self, number):
         assert tokenize(f"SELECT {number} FROM t")[1:3] == [
             Token(NUMBER, number, 7), Token(KEYWORD, "from", 8 + len(number))
+        ]
+
+    def test_keywords_operators_and_kinds_are_spelt_apart(self):
+        # the parser keys a keyword or operator by its text and any other
+        # token by its kind, so no spelling may be shared between the three
+        punctuation = [lexer.LPAREN, lexer.RPAREN, lexer.COMMA, lexer.DOT, lexer.SEMI]
+        kinds = {lexer.KEYWORD, lexer.IDENT, lexer.STRING, lexer.NUMBER, lexer.OP, lexer.EOF, *punctuation}
+        ops = set(lexer._TWO_CHAR_OPS) | set(lexer._ONE_CHAR_OPS)
+        assert not lexer.KEYWORDS & ops
+        assert not lexer.KEYWORDS & kinds
+        assert not ops & kinds
+        assert [(t.kind, t.text) for t in tokenize(" ".join(punctuation))[:-1]] == [
+            (c, c) for c in punctuation
         ]
 
 
@@ -107,6 +121,11 @@ class TestCanonicalize:
     def test_embedded_quote_round_trips(self):
         q = "SELECT x FROM t WHERE note = 'it''s fine'"
         assert canonicalize(parse_sql(q)) == "select x from t where note = 'it''s fine'"
+
+    def test_names_spelt_like_token_kinds_are_plain_identifiers(self):
+        q = "select ident, number, string, eof, keyword, op from t where ident = number"
+        got = canonicalize(parse_sql(q))
+        assert got == "select ident , number , string , eof , keyword , op from t where ident = number"
 
     def test_no_trailing_semicolon(self):
         assert not canonicalize(parse_sql("SELECT a FROM b;")).endswith(";")
