@@ -38,20 +38,14 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="sqlcalib", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.set_defaults(_parser=p, _flags={action.dest: action for action in p._actions})
-
     p = sub.add_parser("parse", help="print the decomposition of one query as JSON")
     p.add_argument("sql", help="SQL text to parse")
-    common(p)
 
     p = sub.add_parser("featurize", help="candidate JSONL -> feature JSONL")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--schema", choices=list(BASE_SCHEMAS), default="mps-nb")
     p.add_argument("--scope", choices=SCOPES, default="union")
-    common(p)
 
     p = sub.add_parser("fit", help="fit a calibrator on a feature file")
     p.add_argument("--input", required=True)
@@ -62,13 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subsample-fraction", type=float)
     p.add_argument("--subsample-count", type=int)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
 
     p = sub.add_parser("apply", help="score a feature file, write scored JSONL only")
     p.add_argument("--input", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--output", required=True)
-    common(p)
 
     p = sub.add_parser("evaluate", help="metrics + reliability tables for a feature file")
     p.add_argument("--input", required=True)
@@ -76,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output directory")
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--group-by", dest="group_by", help="per-group reports (field: group)")
-    common(p)
 
     p = sub.add_parser("compare", help="stratify two scored files by probability shift")
     p.add_argument("--input-a", required=True)
@@ -84,14 +75,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--fractions", type=fraction_list, default="0.01,0.05,0.1,0.2",
                    help="comma-separated fractions in (0, 0.5]")
-    common(p)
 
     p = sub.add_parser("synth", help="write a synthetic feature file")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--mode", choices=SYNTH_MODES, default="calibrated")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
-    common(p)
+
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON file with defaults for any flag")
+        p.set_defaults(_parser=p, _flags={action.dest: action for action in p._actions})
 
     # a config file may serve several commands, so it may hold any command's flags;
     # "help" and "config" are argparse's and the file's own, never entries

@@ -39,10 +39,13 @@ class MetricsReport:  # field order is the key order of metrics.json
 
 
 def _check(scores, labels, probabilities: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and labels as float arrays of one shape, labels 0 or 1, scores
-    finite and, when they are ``probabilities``, inside [0, 1]."""
+    """Scores and labels as 1-D float arrays of one length, labels 0 or 1,
+    scores finite and, when they are ``probabilities``, inside [0, 1]."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=float)
+    for name, values in (("scores", scores), ("labels", labels)):
+        if values.ndim != 1:
+            raise OutOfDomain(f"{name} must be 1-D, got shape {values.shape}")
     if scores.shape != labels.shape:
         raise LengthMismatch(f"{scores.shape[0]} scores vs {labels.shape[0]} labels")
     if scores.size == 0:

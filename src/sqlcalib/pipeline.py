@@ -71,17 +71,14 @@ CANDIDATE_FIELDS = ("id", "label", "candidates")
 CLIPPED = "sum_log_prob > 0; probability will be clipped"
 
 
-def _lines(path, start=0, end=math.inf, lineno=1) -> Iterator[tuple[int, bytes]]:
-    """``(lineno, line)`` per non-blank line of ``path`` in the byte range from
-    ``start`` to ``end``, whose first line is numbered ``lineno``; as bytes, so
-    bad UTF-8 is a JsonError on its own line."""
+def _lines(path, start=0, lineno=1) -> Iterator[tuple[int, bytes]]:
+    """``(lineno, line)`` per non-blank line of ``path`` from byte ``start``,
+    where line ``lineno`` begins; as bytes, so bad UTF-8 is a JsonError on its
+    own line."""
     with open(path, "rb") as fh:
         if start:  # a pipe cannot seek, not even to 0
             fh.seek(start)
         for lineno, line in enumerate(fh, start=lineno):
-            if start >= end:
-                break
-            start += len(line)
             if line.strip():
                 yield lineno, line
 
@@ -361,27 +358,23 @@ def _one_thread() -> bool:
         return False
 
 
-def _ranges(path, size: int) -> Iterator[tuple[int, int, int]]:
-    """``(start, end, lineno)`` of each run of ``size`` non-blank lines of
-    ``path``: its byte range and the number of its first line. The runs
-    follow one another, so blank lines fall inside them."""
+def _ranges(path, size: int) -> Iterator[tuple[int, int]]:
+    """``(start, lineno)`` of the first line of each run of ``size`` non-blank
+    lines of ``path``: its byte offset and its number."""
     with open(path, "rb") as fh:
-        start = end = count = 0
-        first = 1
+        start = count = 0
         for lineno, line in enumerate(fh, start=1):
-            end += len(line)
             if line.strip():
+                if not count % size:
+                    yield start, lineno
                 count += 1
-                if count == size:
-                    yield start, end, first
-                    start, first, count = end, lineno + 1, 0
-    if count:
-        yield start, end, first
+            start += len(line)
 
 
-def _run_range(task, path, start: int, end: int, lineno: int):
-    """``task`` on the ``(lineno, line)`` pairs of a byte range of ``path``."""
-    return task(_lines(path, start, end, lineno))
+def _run_range(task, path, size: int, start: int, lineno: int):
+    """``task`` on the ``(lineno, line)`` pairs of the run of ``size`` non-blank
+    lines of ``path`` that begins at byte ``start``, on line ``lineno``."""
+    return task(islice(_lines(path, start, lineno), size))
 
 
 def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
@@ -395,9 +388,9 @@ def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
     one CPU, the file can be read again (a pipe cannot), and at least
     POOL_MIN_RANGES ranges are left for the workers' start method. Then
     it closes its stream, and the rest go to a pool of worker processes,
-    one per CPU, whose shutdown ``stack`` owns. Each task is a byte range,
-    which its worker reads itself, and at most two per worker are in
-    flight, so memory stays flat in input size. The workers are forked
+    one per CPU, whose shutdown ``stack`` owns. Each task is a chunk's
+    start, from which its worker reads it, and at most two per worker are
+    in flight, so memory stays flat in input size. The workers are forked
     from a process of one thread and spawned from any other.
     """
     lines = _lines(path)
@@ -425,7 +418,7 @@ def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
             pool = stack.enter_context(ProcessPoolExecutor(
                 min(cpus, len(ahead)), mp_context=multiprocessing.get_context(method)
             ))
-            submit = partial(pool.submit, _run_range, rest, path)
+            submit = partial(pool.submit, _run_range, rest, path, size)
             ranges = chain(ahead, ranges)
             in_flight = deque(submit(*r) for r in islice(ranges, 2 * cpus))
             while in_flight:

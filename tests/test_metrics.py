@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sqlcalib import calibrate
 from sqlcalib.calibrate import CalibratorModel
 from sqlcalib.cli import main
-from sqlcalib.errors import EmptyInput, LengthMismatch, OutOfDomain, SingleClass
+from sqlcalib.errors import EmptyInput, LengthMismatch, OutOfDomain, SingleClass, SqlCalibError
 from sqlcalib.metrics import (
     _average_ranks,
     ace,
@@ -463,3 +463,25 @@ class TestDomain:
         argv = ["evaluate", "--input", str(features), "--model", str(model), "--output", str(tmp_path)]
         assert main(argv) == 2
         assert "scores must be probabilities in [0, 1], got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scores, labels",
+        [([0.2, 0.8], 1), ([[0.2, 0.8]], [[0, 1]]), ([0.2, 0.8], [[0, 1]]), ([0.2, 0.8], [0, 1, 1])],
+        ids=["scalar-labels", "2-D", "2-D-labels", "too-many-labels"],
+    )
+    @pytest.mark.parametrize("metric", [*PROBABILITY_METRICS.values(), auc],
+                             ids=[*PROBABILITY_METRICS, "auc"])
+    def test_every_metric_takes_only_one_dimensional_input_of_one_length(
+        self, metric, scores, labels
+    ):
+        with pytest.raises(SqlCalibError):
+            metric(scores, labels)
+
+    # apart from the test above, whose compare_shift entries take len() of the scores
+    @pytest.mark.parametrize(
+        "metric", [brier, ece, ace, compute_report, auc, lambda s, y: compare_shift(s, s, y)],
+        ids=["brier", "ece", "ace", "compute_report", "auc", "compare_shift"],
+    )
+    def test_a_scalar_score_is_out_of_domain(self, metric):
+        with pytest.raises(OutOfDomain, match=r"scores must be 1-D, got shape \(\)"):
+            metric(0.5, [1, 0])

@@ -511,6 +511,24 @@ def test_the_chunks_in_file_order_are_one_pass_over_the_file(lines, newline, siz
             assert all(len(chunk) == size for chunk in chunks[:-1])
 
 
+@settings(deadline=None)
+@given(
+    lines=st.lists(st.sampled_from(["", " \t", "a", "{}", "b c", "[1]"]), max_size=60),
+    newline=st.booleans(),
+    size=st.integers(1, 7),
+)
+def test_a_range_is_where_every_size_th_line_starts(lines, newline, size):
+    text = "".join(line + "\n" for line in lines)
+    data = (text if newline else text[:-1]).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.jsonl"
+        path.write_bytes(data)
+        ranges = list(pipeline._ranges(path, size))
+        firsts = list(pipeline._lines(path))[::size]
+    assert [lineno for _, lineno in ranges] == [lineno for lineno, _ in firsts]
+    assert all(data[start:].startswith(line) for (start, _), (_, line) in zip(ranges, firsts))
+
+
 # -- each reader on drawn files, against one CPU ----------------------------------
 
 ROW = "row"  # a layout entry for the next row; the others are blank lines
