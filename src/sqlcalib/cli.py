@@ -216,8 +216,8 @@ def main(argv=None) -> int:
             with open(args.config, encoding="utf-8") as fh:
                 try:
                     config = json.load(fh)
-                except RecursionError:
-                    raise UsageError(f"config {args.config} nests too deeply") from None
+                except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
+                    raise UsageError(f"config {args.config} is not JSON: {exc}") from None
             if not isinstance(config, dict):
                 raise UsageError(f"config {args.config} must be a JSON object")
             unknown = ", ".join(map(repr, sorted(config.keys() - args._config_keys)))

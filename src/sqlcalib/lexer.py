@@ -82,8 +82,14 @@ def tokenize(text: str) -> list[Token]:
                         i += 1
             tokens.append(Token(NUMBER, text[start:i], start))
         elif c in ("'", '"'):
-            value, i = _scan_string(text, i, c)
-            tokens.append(Token(STRING, value, start))
+            # a doubled quote escapes one quote character
+            end = text.find(c, i + 1)
+            while 0 <= end < n - 1 and text[end + 1] == c:
+                end = text.find(c, end + 2)
+            if end < 0:
+                raise ParseError("unterminated string literal", start)
+            tokens.append(Token(STRING, text[i + 1 : end].replace(c * 2, c), start))
+            i = end + 1
         elif c == "`":
             end = text.find("`", i + 1)
             if end < 0:
@@ -103,25 +109,6 @@ def tokenize(text: str) -> list[Token]:
             raise ParseError(f"unexpected character {c!r}", start)
     tokens.append(Token(EOF, "", n))
     return tokens
-
-
-def _scan_string(text: str, i: int, quote: str) -> tuple[str, int]:
-    """Scan a quoted literal starting at ``i``; doubled quotes escape."""
-    n = len(text)
-    parts: list[str] = []
-    j = i + 1
-    while True:
-        if j >= n:
-            raise ParseError("unterminated string literal", i)
-        c = text[j]
-        if c == quote:
-            if j + 1 < n and text[j + 1] == quote:
-                parts.append(quote)
-                j += 2
-                continue
-            return "".join(parts), j + 1
-        parts.append(c)
-        j += 1
 
 
 def quote_literal(value: str) -> str:

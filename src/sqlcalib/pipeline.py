@@ -784,8 +784,13 @@ def compare_command(
     path_a, path_b, output_path, fractions=(0.01, 0.05, 0.10, 0.20)
 ) -> tuple:
     """Join two scored files on id and stratify by probability shift."""
-    ids_a, *columns_a = load_scored(path_a)
-    ids_b, *columns_b = load_scored(path_b)
+    both = []
+    for path in (path_a, path_b):
+        try:
+            both.append(load_scored(path))
+        except (JsonError, SchemaError) as exc:  # both files number their lines
+            raise type(exc)(f"{path}: {exc}") from None
+    (ids_a, *columns_a), (ids_b, *columns_b) = both
     import numpy as np  # after the decodes, so the process forks its workers while it can
     from . import metrics
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sqlcalib import lexer
 from sqlcalib.errors import ParseError
@@ -40,6 +42,46 @@ class TestTokenize:
         assert [(t.kind, t.text) for t in tokenize(" ".join(punctuation))[:-1]] == [
             (c, c) for c in punctuation
         ]
+
+    @given(st.text(alphabet="ab '\"", max_size=24))
+    @example("'it''s")  # unterminated after an escape
+    def test_string_literals_scan_as_one_character_at_a_time(self, text):
+        expected = reference_tokens(text)
+        if isinstance(expected, int):
+            with pytest.raises(ParseError, match="^unterminated string literal") as info:
+                tokenize(text)
+            assert info.value.offset == expected
+        else:
+            assert tokenize(text) == expected
+
+
+def reference_tokens(text):
+    """The (kind, text, offset) triples of ``text``, made of a, b, spaces and
+    quotes, with each literal read one character at a time; or the offset of
+    a literal left unterminated."""
+    tokens, i = [], 0
+    while i < len(text):
+        c, start = text[i], i
+        if c == " ":
+            i += 1
+        elif c in "ab":
+            while i < len(text) and text[i] in "ab":
+                i += 1
+            tokens.append((lexer.IDENT, text[start:i], start))
+        else:
+            value, i = "", i + 1
+            while True:
+                if i == len(text):
+                    return start
+                if text[i] == c:
+                    if text[i + 1 : i + 2] != c:
+                        break
+                    i += 1  # a doubled quote stands for one
+                value += text[i]
+                i += 1
+            tokens.append((lexer.STRING, value, start))
+            i += 1
+    return tokens + [(lexer.EOF, "", len(text))]
 
 
 class TestParse:

@@ -1011,6 +1011,14 @@ class TestConfig:
         assert err.startswith("usage error") and str(path) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [b"{scope: 'all'}", b'{"scope": "\xff"}'])
+    def test_a_config_that_is_not_json_names_its_file(self, tmp_path, capsys, content):
+        path, out = tmp_path / "config.json", tmp_path / "s.jsonl"
+        path.write_bytes(content)
+        assert main(["synth", "--output", str(out), "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: config {path} is not JSON: ")
+        assert not out.exists()
+
     def test_entries_take_their_flag_types(self, feature_files, tmp_path, capsys):
         path, model = tmp_path / "config.json", tmp_path / "m.json"
         path.write_text(json.dumps({"method": "ps", "penalty": 2, "seed": "3", "bins": "x"}))
@@ -1173,6 +1181,21 @@ class TestCompare:
         expected = float(np.mean([b[i]["calibrated_prob"] - a[i]["calibrated_prob"] for i in top]))
         got_top = next(s for s in strata if s.side == "top")
         assert got_top.mean_delta == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("bad, error", [
+        ('{"id": "r1", "label": 1, "calibrated_prob": 0.5}', SchemaError),  # a repeated id
+        ("{not json", JsonError),
+    ])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_bad_line_names_its_input(self, tmp_path, side, bad, error):
+        rows = [json.dumps({"id": f"r{i}", "label": i % 2, "calibrated_prob": 0.2}) for i in range(5)]
+        paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for path in paths:
+            path.write_text("\n".join(rows) + "\n")
+        paths[side].write_text("\n".join([*rows, bad]) + "\n")
+        with pytest.raises(error) as info:
+            pipeline.compare_command(*paths, tmp_path / "s.json")
+        assert str(info.value).startswith(f"{paths[side]}: line 6: ")
 
 
 class TestSynth:

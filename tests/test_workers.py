@@ -793,7 +793,21 @@ def test_clipping_warning_is_printed_once_as_in_one_process(tmp_path):
 
 
 def test_a_cli_run_of_one_thread_forks_and_prints_as_in_one_process(tmp_path):
-    assert featurize_in_children(tmp_path, env=ONE_BLAS_THREAD)[0] == [["fork"], []]
+    # compare loads numpy only once both scored files are decoded, so with no
+    # BLAS variable set the pools of both reads fork
+    features, evaluated = tmp_path / "features.jsonl", tmp_path / "e"
+    pipeline.synth_command(2 * pipeline.CHUNK_ROWS + 1, "mps-signal", 0, features)  # three chunks
+    pipeline.evaluate_command(features, None, evaluated)
+    scored = str(evaluated / "scored.jsonl")
+    _, methods, numpy_loaded = cli_in_children(
+        tmp_path,
+        lambda cpus: ["compare", "--input-a", scored, "--input-b", scored,
+                      "--output", str(tmp_path / f"shift{cpus}.json")],
+        env=dict.fromkeys(ONE_BLAS_THREAD),
+    )
+    assert methods == [["fork", "fork"], []]
+    assert numpy_loaded == [True, True]
+    assert (tmp_path / "shift2.json").read_bytes() == (tmp_path / "shift1.json").read_bytes()
 
 
 def test_a_plain_cli_run_loads_no_numpy_and_forks(tmp_path):
