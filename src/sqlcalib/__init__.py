@@ -1,28 +1,3 @@
 """Calibrated correctness probabilities for logged text-to-SQL candidates."""
 
 __version__ = "0.1.0"
-
-from .parser import parse_sql
-from .sqlast import (
-    CLAUSE_KINDS,
-    Decomposition,
-    QueryTree,
-    SelectStatement,
-    SetOperation,
-    canonicalize,
-    decompose,
-    extract_clauses,
-)
-
-__all__ = [
-    "CLAUSE_KINDS",
-    "Decomposition",
-    "QueryTree",
-    "SelectStatement",
-    "SetOperation",
-    "canonicalize",
-    "decompose",
-    "extract_clauses",
-    "parse_sql",
-    "__version__",
-]

@@ -132,6 +132,14 @@ def _check_unique_ids(ids: list[str], linenos: list[int]) -> None:
             seen.add(id_)
 
 
+def _schema(schema_id: str, lineno: int) -> FeatureSchema:
+    """``resolve_schema``, its error naming the line the schema id came from."""
+    try:
+        return resolve_schema(schema_id)
+    except (SchemaError, SchemaMismatch) as exc:
+        raise type(exc)(f"line {lineno}: {exc}") from exc
+
+
 def _check_prob(doc: dict, key: str, lineno: int) -> float:
     value = doc[key]
     if type(value) not in (int, float) or not 0 <= value <= 1:
@@ -246,13 +254,15 @@ class RunSummary:
 
 @dataclass
 class _Chunk:
-    """Records featurized in file order: their rows, their counts, the
-    extras layout (None until a usable record fixes it), and whether a
-    probability was clipped."""
+    """Records featurized in file order: their rows, their counts, their
+    ids and lines, the extras layout (None until a usable record fixes it),
+    and whether a probability was clipped."""
 
     layout: Optional[FeatureSchema]
     summary: RunSummary = field(default_factory=RunSummary)
     rows: list = field(default_factory=list)
+    ids: list = field(default_factory=list)
+    linenos: list = field(default_factory=list)
     clipped: bool = False
 
 
@@ -265,6 +275,8 @@ def _featurize(records, base: FeatureSchema, scope: str, done: _Chunk) -> Iterat
     standard = set(base.feature_names)
     for record in records:
         summary.input_records += 1
+        done.ids.append(record.id)
+        done.linenos.append(record.lineno)
         summary.candidate_parse_failures += record.parse_failures
         done.clipped = done.clipped or record.clipped
         if not record.usable:
@@ -273,10 +285,7 @@ def _featurize(records, base: FeatureSchema, scope: str, done: _Chunk) -> Iterat
             continue
         extras = record.extra_features or ()
         if done.layout is None or not standard.isdisjoint(extras):  # a clash raises here
-            try:
-                done.layout = resolve_schema("+".join([base.schema_id, *extras]))
-            except SchemaError as exc:
-                raise SchemaError(f"line {record.lineno}: {exc}") from exc
+            done.layout = _schema("+".join([base.schema_id, *extras]), record.lineno)
         try:
             primary = choose_primary(record, scope)
             # a source with only unparseable samples stays present but empty,
@@ -431,12 +440,17 @@ def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
 
 def _rows(chunks: Iterable[_Chunk], summary: RunSummary) -> Iterator[dict]:
     """The rows of featurized chunks, counting each chunk in ``summary`` and
-    warning if a probability is clipped."""
+    warning if a probability is clipped; after the last, a repeated id is a
+    SchemaError, so every other data error in the file comes first."""
+    ids, linenos = [], []
     for done in chunks:
         summary.add(done.summary)
         if done.clipped:  # a constant text, so the warnings registry holds it once
             warnings.warn(CLIPPED)
+        ids += done.ids
+        linenos += done.linenos
         yield from done.rows
+    _check_unique_ids(ids, linenos)
 
 
 def featurize_command(input_path, output_path, schema_id: str, scope: str = "union") -> RunSummary:
@@ -507,7 +521,7 @@ def _feature_columns(lines, schema: Optional[FeatureSchema]) -> _Columns:
             schema_id = doc["schema_id"]
             if type(schema_id) is not str:
                 raise SchemaError(f"line {lineno}: schema_id must be a string, got {schema_id!r}")
-            schema = done.schema = resolve_schema(schema_id)
+            schema = done.schema = _schema(schema_id, lineno)
             if schema_id != schema.schema_id:
                 raise SchemaError(
                     f"line {lineno}: schema_id {schema_id!r} is not canonical;"
@@ -833,13 +847,13 @@ def synth_command(n: int, mode: str, seed: int, output_path) -> dict:
     for recovery tests); "mps-signal" hides the real signal in one
     frequency-style feature so multivariate fits have an edge.
     """
-    import numpy as np
-    from . import calibrate
-
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode not in SYNTH_MODES:
         raise ValueError(f"unknown synth mode {mode!r}")
+    import numpy as np
+    from . import calibrate
+
     rng = np.random.default_rng(seed)
     sidecar = {"mode": mode, "seed": seed, "n": n}
     s = rng.uniform(size=n)

@@ -141,7 +141,7 @@ def test_repeated_names_are_named_before_the_spelling(tmp_path):
     rows = [{**ROW, "schema_id": "ps+z+a+a", "values": [0.1, 0.2, 0.3, 0.4]}]
     with pytest.raises(SchemaError) as info:
         pipeline.load_features(_write_rows(tmp_path / "f.jsonl", rows))
-    assert str(info.value) == "feature schema 'ps+a+a+z' repeats feature names ['a']"
+    assert str(info.value) == "line 1: feature schema 'ps+a+a+z' repeats feature names ['a']"
 
 
 # -- the scored-line template -------------------------------------------------

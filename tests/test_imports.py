@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and
 every name it defines at top level is used somewhere in the repository.
+The package root imports nothing, so each name has one import path.
 The command line's import, its argument parsing and `parse` load neither
 numpy nor the process-pool modules featurize starts workers with."""
 
@@ -17,7 +18,7 @@ PACKAGE = Path(sqlcalib.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parents[1]
 USERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
-EXEMPT = {"__all__", "__version__"}
+EXEMPT = {"__version__"}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -94,6 +95,32 @@ def test_a_dead_module_name_is_found():
     assert _dead_names(source, used) == ["line 2: B"]
 
 
+def test_the_package_root_imports_nothing_and_defines_only_its_version():
+    source = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    nodes = ast.walk(ast.parse(source))
+    assert [n for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))] == []
+    assert set(_defined_names(source)) == {"__version__"}
+
+
+def _child(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter with the package's
+    source directory as ``sys.argv[1]``; it must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_errors_loads_no_other_package_module():
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import sqlcalib.errors\n"
+        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('sqlcalib'))))\n"
+    )
+    assert json.loads(_child(code)) == ["sqlcalib", "sqlcalib.errors"]
+
+
 # Modules that import without numpy, so `import sqlcalib.cli`, `parse`,
 # argument errors and `featurize` never load it: none may import numpy, or a
 # package module outside this list, except inside a function.
@@ -160,3 +187,23 @@ def test_cli_parse_help_and_usage_errors_run_without_numpy():
                           capture_output=True, text=True, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, 1, 0], []]
+
+
+def test_synth_checks_its_arguments_before_it_loads_numpy(tmp_path):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import sqlcalib.cli, sqlcalib.pipeline\n"
+        f"out = {str(tmp_path / 'synth.jsonl')!r}\n"
+        "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "    codes = [sqlcalib.cli.main(['synth', '--n', '0', '--output', out])]\n"
+        "try:\n"
+        "    sqlcalib.pipeline.synth_command(10, 'bogus', 0, out)\n"
+        "except ValueError as exc:\n"
+        "    codes.append(str(exc))\n"
+        "print(json.dumps([codes, err.getvalue(), 'numpy' in sys.modules]))\n"
+    )
+    assert json.loads(_child(code)) == [
+        [1, "unknown synth mode 'bogus'"], "usage error: n must be >= 1\n", False
+    ]
+    assert list(tmp_path.iterdir()) == []

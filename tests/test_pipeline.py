@@ -410,6 +410,11 @@ class TestInputValues:
         assert main(["fit", "--input", str(tmp_path / "f.jsonl"), "--output", str(tmp_path / "m")]) == 2
         assert "line 1: schema_id must be a string" in capsys.readouterr().err
 
+    def test_unknown_schema_id_is_a_data_error_naming_its_line(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "f.jsonl", [{**self.FEATURE_ROW, "schema_id": "bogus"}])
+        assert main(["fit", "--input", str(tmp_path / "f.jsonl"), "--output", str(tmp_path / "m")]) == 2
+        assert "data error: line 1: unknown feature schema 'bogus'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("group", [3, ["x"]])
     def test_evaluate_by_group_rejects_non_string_group(self, tmp_path, capsys, group):
         rows = [{**self.FEATURE_ROW, "group": "x"}, {**self.FEATURE_ROW, "id": "b", "group": group}]
@@ -442,6 +447,26 @@ class TestInputValues:
         assert main(argv + ([] if command == "fit" else ["--model", str(model)])) == 2
         assert f"line 2: duplicate id {str(ids[1])!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "ids, says",
+        [
+            (["a", "a"], "line 2: duplicate id 'a'"),
+            (["r", 1, "1"], "line 3: duplicate id '1'"),
+            (["a", "a", None], "line 3: id must be a string or a number"),  # every other error first
+        ],
+    )
+    def test_featurize_rejects_a_repeated_id_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, ids, says
+    ):
+        monkeypatch.setattr(pipeline, "CHUNK_RECORDS", 1)  # ids repeat across chunks
+        unparseable = [{"sql": "selec nope", "sum_log_prob": -0.5, "source": "nucleus"}]
+        records = [make_record(id=i, candidates=unparseable if n else None) for n, i in enumerate(ids)]
+        write_jsonl(tmp_path / "in.jsonl", records)
+        argv = ["featurize", "--input", str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "f")]
+        assert main(argv + ["--schema", "ps"]) == 2
+        assert says in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
     @pytest.mark.parametrize("command", ["featurize", "fit", "evaluate", "compare"])
     @pytest.mark.parametrize(

@@ -188,7 +188,7 @@ def test_empty_input_writes_empty_features(featurize, text):
 
 def test_one_chunk_left_after_the_layout_starts_no_pool(featurize):
     lines = [json.dumps(good(i)) for i in range(2 * CHUNK)]
-    for more, pools in [([], []), (lines[:1], [2])]:
+    for more, pools in [([], []), ([json.dumps(good(2 * CHUNK))], [2])]:
         out, started = featurize(lines + more, cpus=4)
         assert started == pools
         assert _bytes(out) == _bytes(featurize(lines + more, cpus=1)[0])
@@ -623,7 +623,7 @@ NO_NEWLINE = dict(layout=["", ROW, ROW, " \t", ROW] * 5, newline=False, size=2, 
     newline=st.booleans(),
     size=st.integers(1, 7),
     method=st.just("fork"),
-    fault=fault_at("json", "missing-field", "non-finite-log-prob", "extras-clash"),
+    fault=fault_at("json", "missing-field", "repeated-id", "non-finite-log-prob", "extras-clash"),
 )
 @example(**{**SPAWNED, "layout": ["good", ""] * 8})
 @example(**{**LATE_FAULT, "layout": ["good", "", "clipped", " \t"] * 6}, fault=("json", 9))
