@@ -6,6 +6,7 @@ word spellings. String literal content is kept byte-exact.
 """
 
 import re
+from functools import partial
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -38,9 +39,35 @@ _TWO_CHAR_OPS = ("<=", ">=", "!=", "<>", "==", "||")
 _ONE_CHAR_OPS = "=<>+-*/%"
 # For str patterns \s matches exactly what str.isspace accepts and \w exactly
 # what str.isalnum accepts, plus "_". \d is narrower than str.isdigit
-# (it misses "²"), so numbers are still scanned with isdigit.
+# (it misses "²"), so _scan still reads numbers with isdigit.
 _skip_space = re.compile(r"\s*").match
 _word_tail = re.compile(r"\w*").match
+
+# One match per token of an ASCII text: its leading space, then the token as
+# written, or else the rest of the text from a character that starts no
+# token. Words and numbers are ASCII, so a text with a non-ASCII letter or
+# digit outside quotes reaches the third group, as does every lexing error.
+_OPERATOR = "|".join(map(re.escape, _TWO_CHAR_OPS)) + f"|[{re.escape(_ONE_CHAR_OPS + _PUNCTUATION)}]"
+_TOKEN = re.compile(
+    rf"""(\s*)(?:(
+        [A-Za-z_][A-Za-z0-9_]*
+      | (?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?
+      | '[^']*(?:''[^']*)*'(?!') | "[^"]*(?:""[^"]*)*"(?!")
+      | `[^`]*`
+      | {_OPERATOR}
+    )|(\S[\s\S]*))""",
+    re.VERBOSE,
+)
+# a token's kind by its first character; None marks a word
+_ASCII = "".join(map(chr, range(128)))
+_KIND_OF_FIRST = {
+    **dict.fromkeys(c for c in _ASCII if c.isalpha() or c == "_"),
+    **dict.fromkeys(filter(str.isdigit, _ASCII), NUMBER),
+    **dict.fromkeys("'\"", STRING),
+    "`": IDENT,
+    **dict.fromkeys(_ONE_CHAR_OPS + "".join(op[0] for op in _TWO_CHAR_OPS), OP),
+    **{c: c for c in _PUNCTUATION},
+}
 
 
 class Token(NamedTuple):
@@ -49,8 +76,44 @@ class Token(NamedTuple):
     offset: int
 
 
+# a Token built without the Python-level __new__ that NamedTuple generates
+_new_token = partial(tuple.__new__, Token)
+
+
 def tokenize(text: str) -> list[Token]:
     """Scan ``text`` into tokens, raising ParseError on anything unlexable."""
+    # with no trailing space, each match of _TOKEN starts where the last one ended
+    pieces = _TOKEN.findall(text.rstrip())
+    if pieces and pieces[-1][2]:
+        return _scan(text)
+    kinds, values, offsets = [], [], []
+    offset = 0
+    for space, raw, _ in pieces:
+        offset += len(space)
+        kind = _KIND_OF_FIRST[raw[0]]
+        if kind is None:
+            value = raw.lower()
+            kind = KEYWORD if value in KEYWORDS else IDENT
+        elif kind is STRING:
+            value = raw[1:-1].replace(raw[0] * 2, raw[0])
+        elif kind is IDENT:  # quoted in backticks
+            value = raw.lower()
+        else:
+            value = raw
+            if kind == DOT and len(raw) > 1:  # a number such as ".5"
+                kind = NUMBER
+        kinds.append(kind)
+        values.append(value)
+        offsets.append(offset)
+        offset += len(raw)
+    tokens = list(map(_new_token, zip(kinds, values, offsets)))
+    tokens.append(Token(EOF, "", len(text)))
+    return tokens
+
+
+def _scan(text: str) -> list[Token]:
+    """Scan ``text`` one character at a time: the reader of any text that
+    _TOKEN cannot read, and the reference that tokenize must equal."""
     tokens: list[Token] = []
     i, n = 0, len(text)
     while i < n:

@@ -649,6 +649,8 @@ def fit_command(
         raise ValueError("give --subsample-fraction or --subsample-count, not both")
     if subsample_fraction is not None and not 0 < subsample_fraction <= 1:  # NaN fails too
         raise ValueError(f"--subsample-fraction must lie in (0, 1], got {subsample_fraction!r}")
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
 
     ff = load_features(features_path)
     import numpy as np  # after the decode, so the process forks its workers while it can
@@ -851,6 +853,8 @@ def synth_command(n: int, mode: str, seed: int, output_path) -> dict:
         raise ValueError("n must be >= 1")
     if mode not in SYNTH_MODES:
         raise ValueError(f"unknown synth mode {mode!r}")
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     import numpy as np
     from . import calibrate
 

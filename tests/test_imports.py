@@ -196,7 +196,8 @@ def test_synth_checks_its_arguments_before_it_loads_numpy(tmp_path):
         "import sqlcalib.cli, sqlcalib.pipeline\n"
         f"out = {str(tmp_path / 'synth.jsonl')!r}\n"
         "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
-        "    codes = [sqlcalib.cli.main(['synth', '--n', '0', '--output', out])]\n"
+        "    codes = [sqlcalib.cli.main(['synth', '--n', '0', '--output', out]),\n"
+        "             sqlcalib.cli.main(['synth', '--n', '5', '--seed', '-1', '--output', out])]\n"
         "try:\n"
         "    sqlcalib.pipeline.synth_command(10, 'bogus', 0, out)\n"
         "except ValueError as exc:\n"
@@ -204,6 +205,8 @@ def test_synth_checks_its_arguments_before_it_loads_numpy(tmp_path):
         "print(json.dumps([codes, err.getvalue(), 'numpy' in sys.modules]))\n"
     )
     assert json.loads(_child(code)) == [
-        [1, "unknown synth mode 'bogus'"], "usage error: n must be >= 1\n", False
+        [1, 1, "unknown synth mode 'bogus'"],
+        "usage error: n must be >= 1\nusage error: --seed must be >= 0, got -1\n",
+        False,
     ]
     assert list(tmp_path.iterdir()) == []

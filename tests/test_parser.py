@@ -10,7 +10,7 @@ from sqlcalib import lexer
 from sqlcalib.errors import ParseError
 from sqlcalib.lexer import KEYWORD, NUMBER, Token, tokenize
 from sqlcalib.parser import parse_sql
-from sqlcalib.querygen import generate_query
+from sqlcalib.querygen import generate_candidate_records, generate_query
 from sqlcalib.sqlast import (
     CLAUSE_KINDS,
     SelectStatement,
@@ -21,6 +21,14 @@ from sqlcalib.sqlast import (
 )
 
 from corpus import CAKE_COOKIE, CORPUS_ALL, PIPER_CUB
+
+
+# characters that start each kind of token, whitespace (ASCII and not),
+# characters that start none, and pieces that are rare in a random draw
+LEXER_PIECES = [
+    *"aZ_eE09.'\"`!|<>=+-*/%(),;", " ", "\t", "\n", "\x1c", "\xa0", "\u3000",
+    "é", "²", "٣", "Ⅷ", "''", '""', "``", "e+1", ".5",
+]
 
 
 class TestTokenize:
@@ -53,6 +61,41 @@ class TestTokenize:
             assert info.value.offset == expected
         else:
             assert tokenize(text) == expected
+
+    @given(st.lists(st.sampled_from(LEXER_PIECES), max_size=16).map("".join))
+    @example("SELECT t.a, .5e-3, 1.e5, 2E+1x FROM `T``x` WHERE s = 'it''s' || \"q\"\"\" ;")
+    @example("x = 1.5 AND y <> 2 OR z != .7")
+    @example("SELECT é FROM t")
+    @example("x = 1² + ² + a²")
+    @example("x = ٣ + 1.٣ + a٣")
+    @example("x = Ⅷ")
+    @example("a\x1c\xa0\u3000b ")
+    @example("'a''")
+    @example("!x || 1")
+    @example("| x")
+    @example("`x")
+    def test_tokenize_reads_every_text_as_the_scanner_does(self, text):
+        # _scan reads one character at a time and is the reference
+        assert lexed(tokenize, text) == lexed(lexer._scan, text)
+
+    def test_generated_and_corpus_texts_never_fall_back_to_the_scanner(self, monkeypatch):
+        def no_scan(text):
+            raise AssertionError(f"fell back to _scan on {text!r}")
+
+        monkeypatch.setattr(lexer, "_scan", no_scan)
+        texts = [c["sql"] for r in generate_candidate_records(200, 0) for c in r["candidates"]]
+        texts += [text for text in CORPUS_ALL if text.isascii()]
+        for text in texts:
+            assert tokenize(text)[-1] == Token(lexer.EOF, "", len(text))
+
+
+def lexed(lex, text):
+    """The tokens ``lex`` reads from ``text``, or the message and offset of
+    the ParseError it raises."""
+    try:
+        return lex(text)
+    except ParseError as exc:
+        return str(exc), exc.offset
 
 
 def reference_tokens(text):

@@ -916,6 +916,10 @@ class TestRejectedInputs:
             pytest.param("evaluate --input {nb} --group-by label", None, 1,
                          "only grouping by 'group' is supported", id="group-by-label"),
             pytest.param("synth --n 0", None, 1, "n must be >= 1", id="synth-none"),
+            pytest.param("synth --n 5 --seed -1", None, 1, "--seed must be >= 0, got -1",
+                         id="synth-negative-seed"),
+            pytest.param("fit --input {nb} --subsample-count 10 --seed -1", None, 1,
+                         "--seed must be >= 0, got -1", id="fit-negative-seed"),
             pytest.param(
                 "apply --input {ps} --model {in}", {**GOOD_MODEL, "feature_names": ["zeta"]}, 2,
                 "schema 'ps' lacks features ['zeta']", id="model-names-missing",
