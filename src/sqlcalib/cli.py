@@ -213,7 +213,11 @@ def main(argv=None) -> int:
         top = build_parser()  # one per call: config defaults never reach the next call
         args = top.parse_args(argv)
         if args.config:
-            with open(args.config, encoding="utf-8") as fh:
+            try:
+                fh = open(args.config, encoding="utf-8")
+            except OSError as exc:  # missing, a directory, unreadable
+                raise UsageError(f"config {args.config} cannot be opened: {exc.strerror}") from None
+            with fh:
                 try:
                     config = json.load(fh)
                 except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting

@@ -5,9 +5,9 @@ that fail individually never abort a run; they are counted and reported
 in a sidecar summary so that input lines are always fully accounted for.
 
 Candidate, feature and scored files are read in chunks on every CPU this
-process may use, and no reader loads numpy: the numeric commands import
-it, with ``calibrate`` and ``metrics``, only once their input is decoded,
-so that the workers which decode it can still be forked.
+process may use, by workers it forks while it runs one thread. No reader
+loads numpy, whose BLAS may start threads: the numeric commands import it,
+with ``calibrate`` and ``metrics``, only once their input is decoded.
 """
 
 import json
@@ -327,12 +327,11 @@ def _feature_row(id_, label, group, schema_id, values, raw_prob) -> dict:
 CHUNK_RECORDS = 25  # records per featurize task: about 0.02 s of parsing, 12 KB of rows back
 CHUNK_ROWS = 2000  # rows per loader task: 0.03 s to decode for a 21-value feature file, 0.01 s scored
 # The ranges left, once the parent's have fixed the state, from which a pool
-# starts, by the workers' start method: a count, so a file takes the same path
-# on every run. Starting and stopping two workers takes about 0.016 s by fork and
-# 0.25 s by spawn, which imports `pipeline` but not numpy (2-vCPU VM). In fresh
-# processes a forked pool beat one process from about 4 ranges left on candidate
-# and feature files and 8 on scored files, and a spawned one from 30-40 and 60.
-POOL_MIN_RANGES = {"fork": 4, "spawn": 40}
+# starts: a count, so a file takes the same path on every run. Forking and
+# stopping two workers takes about 0.016 s (2-vCPU VM), and in fresh processes a
+# pool beat one process from about 4 ranges left on candidate and feature files
+# and 8 on scored files.
+POOL_MIN_RANGES = 4
 
 
 def featurize_records(
@@ -351,10 +350,9 @@ def featurize_records(
 
 
 def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The number of CPUs this process may run on; asked only once
+    ``_one_thread`` has read ``/proc``, so on Linux, which has affinity masks."""
+    return len(os.sched_getaffinity(0))
 
 
 def _one_thread() -> bool:
@@ -393,14 +391,14 @@ def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
     The parent streams the file once, running chunks itself until ``fixed``
     of a result returns the task for the rest, which carries the state that
     result fixed (the extras layout of a candidate file, the schema of a
-    feature file). It runs the rest itself too, unless it has more than
-    one CPU, the file can be read again (a pipe cannot), and at least
-    POOL_MIN_RANGES ranges are left for the workers' start method. Then
-    it closes its stream, and the rest go to a pool of worker processes,
-    one per CPU, whose shutdown ``stack`` owns. Each task is a chunk's
-    start, from which its worker reads it, and at most two per worker are
-    in flight, so memory stays flat in input size. The workers are forked
-    from a process of one thread and spawned from any other.
+    feature file). It runs the rest itself too, unless it runs one thread,
+    so that a fork copies no other thread's half-done state, it has more
+    than one CPU, the file can be read again (a pipe cannot), and at least
+    POOL_MIN_RANGES ranges are left. Then it closes its stream, and the
+    rest go to a pool of worker processes it forks, one per CPU, whose
+    shutdown ``stack`` owns. Each task is a chunk's start, from which its
+    worker reads it, and at most two per worker are in flight, so memory
+    stays flat in input size.
     """
     lines = _lines(path)
     # lazily, so that no chunk is held as a list: every task reads its whole chunk
@@ -413,19 +411,16 @@ def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
             break
     else:
         return
-    cpus = _cpus()
-    if cpus > 1 and os.path.isfile(path):
-        path = os.path.realpath(path)  # /dev/stdin or /dev/fd/3 would name another file in a worker
-        method = "fork" if _one_thread() else "spawn"
+    if _one_thread() and (cpus := _cpus()) > 1 and os.path.isfile(path):
         ranges = islice(_ranges(path, size), ran, None)  # past the ranges the parent ran
-        ahead = list(islice(ranges, max(POOL_MIN_RANGES[method], cpus)))
-        if len(ahead) >= POOL_MIN_RANGES[method]:
+        ahead = list(islice(ranges, max(POOL_MIN_RANGES, cpus)))
+        if len(ahead) >= POOL_MIN_RANGES:
             lines.close()
             import multiprocessing  # here, so only a run that starts a pool imports them
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(
-                min(cpus, len(ahead)), mp_context=multiprocessing.get_context(method)
+                min(cpus, len(ahead)), mp_context=multiprocessing.get_context("fork")
             ))
             submit = partial(pool.submit, _run_range, rest, path, size)
             ranges = chain(ahead, ranges)

@@ -1040,6 +1040,13 @@ class TestConfig:
         assert err.startswith("usage error") and str(path) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_a_config_that_cannot_be_opened_names_its_file(self, tmp_path, capsys, name):
+        path, out = tmp_path / name, tmp_path / "s.jsonl"
+        assert main(["synth", "--output", str(out), "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: config {path} cannot be opened: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("content", [b"{scope: 'all'}", b'{"scope": "\xff"}'])
     def test_a_config_that_is_not_json_names_its_file(self, tmp_path, capsys, content):
         path, out = tmp_path / "config.json", tmp_path / "s.jsonl"

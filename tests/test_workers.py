@@ -23,13 +23,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqlcalib import errors, pipeline
-from sqlcalib.clausefreq import resolve_schema
 from sqlcalib.errors import SqlCalibError
 
 ROOT = Path(__file__).resolve().parents[1]
 CHUNK = pipeline.CHUNK_RECORDS
-METHODS = ("fork", "spawn")
-THRESHOLDS = pipeline.POOL_MIN_RANGES
 
 ERRORS = sorted(
     (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, SqlCalibError)),
@@ -92,11 +89,12 @@ def mixed_lines() -> list[str]:
 
 @pytest.fixture
 def started(monkeypatch):
-    """The (workers, start method) of each pool started, in order."""
+    """The workers of each pool started, in order; every pool forks."""
 
     class Executor(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, mp_context):
-            pools.append((max_workers, mp_context.get_start_method()))
+            assert mp_context.get_start_method() == "fork"
+            pools.append(max_workers)
             super().__init__(max_workers, mp_context=mp_context)
 
     pools = []
@@ -105,17 +103,22 @@ def started(monkeypatch):
 
 
 @pytest.fixture
-def featurize_as_is(tmp_path, monkeypatch, started):
-    """Featurize ``lines`` with ``cpus`` CPUs; the (workers, start method) of
-    each pool started. A pool starts from ``min_ranges`` ranges left, two
-    unless given, or at the real thresholds if it is None. Each run leaves
-    no worker and no temporary file behind."""
+def as_one_thread(monkeypatch):
+    """This process taken for one of one thread, whatever BLAS threads it
+    runs: the workers touch no numpy, so a fork next to idle ones is safe."""
+    monkeypatch.setattr(pipeline, "_one_thread", lambda: True)
+
+
+@pytest.fixture
+def featurize(tmp_path, monkeypatch, started, as_one_thread):
+    """Featurize ``lines`` with ``cpus`` CPUs; the sizes of the pools started.
+    A pool starts from ``min_ranges`` ranges left, two unless given. Each run
+    leaves no worker and no temporary file behind."""
 
     def run(lines, cpus, min_ranges=2):
         started.clear()
         monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
-        thresholds = dict.fromkeys(METHODS, min_ranges) if min_ranges is not None else THRESHOLDS
-        monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", thresholds)
+        monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", min_ranges)
         src = tmp_path / f"in{cpus}.jsonl"
         src.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out = tmp_path / f"out{cpus}" / "features.jsonl"
@@ -126,33 +129,6 @@ def featurize_as_is(tmp_path, monkeypatch, started):
             assert multiprocessing.active_children() == []
             assert list(out.parent.glob("*.tmp")) == []
         return out, list(started)
-
-    return run
-
-
-@pytest.fixture
-def featurize(monkeypatch, featurize_as_is):
-    """``featurize_as_is`` with workers started by fork, then again by spawn,
-    however many threads this process runs (the workers touch no numpy, so a
-    fork next to idle BLAS threads is safe here). Both runs write the same
-    bytes or raise the same error; the sizes of the pools started."""
-
-    def run(lines, cpus, min_ranges=2):
-        outcomes, error = [], None
-        for method in METHODS:
-            monkeypatch.setattr(pipeline, "_one_thread", lambda: method == "fork")
-            try:
-                out, started = featurize_as_is(lines, cpus, min_ranges)
-            except SqlCalibError as exc:
-                outcomes.append((type(exc), str(exc)))
-                error = exc
-                continue
-            assert all(m == method for _, m in started)
-            outcomes.append((_bytes(out), [workers for workers, _ in started]))
-        assert outcomes[0] == outcomes[1]
-        if error is not None:
-            raise error
-        return out, outcomes[1][1]
 
     return run
 
@@ -195,9 +171,9 @@ def test_one_chunk_left_after_the_layout_starts_no_pool(featurize):
 
 
 def test_too_little_work_left_starts_no_pool(featurize):
-    # three ranges left after the first, below either start method's threshold
+    # three ranges left after the first, below the threshold
     lines = [json.dumps(good(i)) for i in range(4 * CHUNK)]
-    assert featurize(lines, cpus=2, min_ranges=None)[1] == []
+    assert featurize(lines, cpus=2, min_ranges=pipeline.POOL_MIN_RANGES)[1] == []
 
 
 LINE = "line {}:"  # what most errors say: the line they were found on
@@ -233,32 +209,6 @@ def test_error_in_the_last_chunk_is_raised_as_in_one_process(
         assert [p for p in tmp_path.rglob("*") if p.is_file() and p.parent != tmp_path] == []
     assert raised[0] == raised[1]
     assert says.format(lineno) in raised[0][1]
-
-
-def test_a_spawned_worker_featurizes_a_chunk_without_numpy():
-    first = CHUNK + 70  # records 66 to 90: one clipped, one failed
-    chunk = [(i, line.encode()) for i, line in enumerate(mixed_lines()[first:first + CHUNK], first)]
-    base, layout = resolve_schema("mps-nb"), resolve_schema("mps-nb+p_true")
-    task = pickle.dumps((pipeline._featurize_chunk, chunk, base, layout, "union"))  # as submit sends it
-    assert b"sqlcalib.pipeline" in task
-    code = (
-        "import pickle, sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "fn, chunk, base, layout, scope = pickle.loads(sys.stdin.buffer.read())\n"
-        "done = fn(chunk, base=base, layout=layout, scope=scope)\n"
-        "loaded = sorted(name for name in sys.modules if name.startswith('sqlcalib.'))\n"
-        "sys.stdout.buffer.write(pickle.dumps((done, 'numpy' in sys.modules, loaded)))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")], input=task,
-                          capture_output=True, timeout=60, check=False)
-    assert proc.returncode == 0, proc.stderr.decode()
-    done, numpy_loaded, loaded = pickle.loads(proc.stdout)
-    assert not numpy_loaded
-    assert loaded == [f"sqlcalib.{m}" for m in (
-        "clausefreq", "errors", "lexer", "parser", "pipeline", "probability", "sqlast")]
-    here = pipeline._featurize_chunk(chunk, base, layout, "union")
-    assert (done.rows, done.summary, done.clipped) == (here.rows, here.summary, here.clipped)
-    assert (done.summary.used, done.summary.failed, done.clipped) == (CHUNK - 1, 1, True)
 
 
 # -- feature and scored files ----------------------------------------------------
@@ -302,31 +252,29 @@ def _columns(loaded) -> tuple:
 
 
 @pytest.fixture
-def load(tmp_path, monkeypatch, started):
+def load(tmp_path, monkeypatch, started, as_one_thread):
     """``loader`` on ``lines``, written with no newline after the last, in
-    tasks of ROWS rows: on 2 CPUs with workers forked, then spawned, from two
-    ranges left, and then on one CPU. All three return the same
-    columns, each array as its bytes, or raise the same error, as (type,
-    message); that outcome, and the sizes of the pools each run started."""
+    tasks of ROWS rows: on 2 CPUs with a pool from two ranges left, and then
+    on one CPU. Both return the same columns, each array as its bytes, or
+    raise the same error, as (type, message); that outcome, and the sizes of
+    the pools each run started."""
     monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
-    monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", dict.fromkeys(METHODS, 2))
+    monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", 2)
 
     def run(loader, lines):
         path = tmp_path / "in.jsonl"
         path.write_text("\n".join(lines), encoding="utf-8")
         outcomes, pools = [], []
-        for cpus, method in [(2, "fork"), (2, "spawn"), (1, "fork")]:
+        for cpus in (2, 1):
             started.clear()
             monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
-            monkeypatch.setattr(pipeline, "_one_thread", lambda: method == "fork")
             try:
                 outcomes.append(_columns(loader(path)))
             except SqlCalibError as exc:
                 outcomes.append((type(exc), str(exc)))
             assert multiprocessing.active_children() == []
-            assert all(m == method for _, m in started)
-            pools.append([workers for workers, _ in started])
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+            pools.append(list(started))
+        assert outcomes[0] == outcomes[1]
         return outcomes[0], pools
 
     return run
@@ -335,7 +283,7 @@ def load(tmp_path, monkeypatch, started):
 def test_pooled_feature_file_loads_as_in_one_process(load):
     rows = feature_rows()
     (ids, groups, X, y, raw, schema_id, names), pools = load(pipeline.load_features, as_lines(rows))
-    assert pools == [[2], [2], []]
+    assert pools == [[2], []]
     assert ids == tuple(str(row["id"]) for row in rows) and groups == tuple(r["group"] for r in rows)
     assert X == array("d", [v for row in rows for v in row["values"]]).tobytes()
     assert y == array("d", [row["label"] for row in rows]).tobytes()
@@ -346,7 +294,7 @@ def test_pooled_feature_file_loads_as_in_one_process(load):
 def test_pooled_scored_file_loads_as_in_one_process(load):
     rows = scored_rows()
     (ids, labels, probs), pools = load(pipeline.load_scored, as_lines(rows))
-    assert pools == [[2], [2], []]
+    assert pools == [[2], []]
     assert ids == [str(row["id"]) for row in rows]
     assert labels == array("d", [row["label"] for row in rows]).tobytes()
     assert probs == array("d", [row["calibrated_prob"] for row in rows]).tobytes()
@@ -354,14 +302,14 @@ def test_pooled_scored_file_loads_as_in_one_process(load):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_a_descriptor_path_reaches_the_workers_as_the_file_it_names(load):
-    # a spawned worker does not inherit this process's descriptors
+    # a forked worker inherits this process's descriptors, so the path names the same file in it
     def via_descriptor(path):
         with open(path, "rb") as fh:
             return pipeline.load_features(f"/dev/fd/{fh.fileno()}")
 
     rows = feature_rows()
     (ids, *_), pools = load(via_descriptor, as_lines(rows))
-    assert pools == [[2], [2], []] and ids == tuple(str(row["id"]) for row in rows)
+    assert pools == [[2], []] and ids == tuple(str(row["id"]) for row in rows)
 
 
 BIG = 10**400  # an int past the float range: a value the loader holds out of its buffer
@@ -387,7 +335,7 @@ def test_an_error_in_a_worker_chunk_is_raised_as_in_one_process(load, loader, ro
     lines = as_lines(rows)
     lines[LATE + 1] = late if isinstance(late, str) else json.dumps({**rows[LATE], **late})
     (error, message), pools = load(loader, lines)
-    assert pools == [[2], [2], []]
+    assert pools == [[2], []]
     assert error is errors.JsonError if late == "{not json" else error is errors.SchemaError
     lineno = "\n".join(lines).splitlines().index(lines[LATE + 1]) + 1
     assert message.startswith(says.format(lineno))
@@ -411,9 +359,11 @@ def _read(kind: str, path: Path):
     ids=["features", "scored", "candidates"],
 )
 @pytest.mark.filterwarnings("ignore:sum_log_prob")
-def test_a_pipe_is_read_once_in_this_process(tmp_path, monkeypatch, started, kind, lines):
+def test_a_pipe_is_read_once_in_this_process(
+    tmp_path, monkeypatch, started, as_one_thread, kind, lines
+):
     monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
-    monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", dict.fromkeys(METHODS, 2))
+    monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", 2)
     monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
     text = "\n".join(lines)
     fifo = tmp_path / "pipe"
@@ -431,7 +381,7 @@ def test_a_pipe_is_read_once_in_this_process(tmp_path, monkeypatch, started, kin
 
 
 @pytest.mark.filterwarnings("ignore:sum_log_prob")
-def test_one_cpu_reads_each_file_once_in_this_process(tmp_path, monkeypatch, started):
+def test_one_cpu_reads_each_file_once_in_this_process(tmp_path, monkeypatch, started, as_one_thread):
     def no_ranges(path, size):
         raise AssertionError("cut into ranges")
 
@@ -444,7 +394,7 @@ def test_one_cpu_reads_each_file_once_in_this_process(tmp_path, monkeypatch, sta
     assert started == []
 
 
-def test_two_ranges_per_worker_are_in_flight(tmp_path, monkeypatch):
+def test_two_ranges_per_worker_are_in_flight(tmp_path, monkeypatch, as_one_thread):
     # a range is in flight from its submit until the parent takes its result
     in_flight, counts = set(), []
 
@@ -464,9 +414,8 @@ def test_two_ranges_per_worker_are_in_flight(tmp_path, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
     monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
-    monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", dict.fromkeys(METHODS, 2))
+    monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", 2)
     monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
-    monkeypatch.setattr(pipeline, "_one_thread", lambda: True)
     rows = scored_rows()
     path = tmp_path / "in.jsonl"
     path.write_text("\n".join(as_lines(rows)), encoding="utf-8")
@@ -496,7 +445,7 @@ def test_the_chunks_in_file_order_are_one_pass_over_the_file(lines, newline, siz
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         path = Path(tmp) / "in.jsonl"
         path.write_bytes(data)
-        patch.setattr(pipeline, "POOL_MIN_RANGES", dict.fromkeys(METHODS, 2))
+        patch.setattr(pipeline, "POOL_MIN_RANGES", 2)
         patch.setattr(pipeline, "_one_thread", lambda: True)
         for cpus in (2, 1):
             patch.setattr(pipeline, "_cpus", lambda: cpus)
@@ -571,16 +520,16 @@ def write_drawn(path, layout, docs, newline, fault) -> None:
     path.write_text(text if newline else text[:-1], encoding="utf-8")
 
 
-def as_on_one_cpu(read, method, chunk, size):
+def as_on_one_cpu(read, chunk, size):
     """``read()`` in chunks of ``size`` rows (``chunk`` names the constant) on
-    2 CPUs, its workers started by ``method`` from two ranges left, and then
-    on one CPU. Both return the same, or raise the same error, as (type,
-    message), and warn as a fresh process would, the same; that outcome."""
+    2 CPUs, with a pool from two ranges left, and then on one CPU. Both
+    return the same, or raise the same error, as (type, message), and warn
+    as a fresh process would, the same; that outcome."""
     outcomes = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, chunk, size)
-        patch.setattr(pipeline, "POOL_MIN_RANGES", dict.fromkeys(METHODS, 2))
-        patch.setattr(pipeline, "_one_thread", lambda: method == "fork")
+        patch.setattr(pipeline, "POOL_MIN_RANGES", 2)
+        patch.setattr(pipeline, "_one_thread", lambda: True)
         for cpus in (2, 1):
             patch.setattr(pipeline, "_cpus", lambda: cpus)
             with warnings.catch_warnings(record=True) as caught:
@@ -606,12 +555,12 @@ def candidate(kind, i) -> dict:
     return doc
 
 
-# files whose first chunk fixes the state and whose rest goes to workers: spawned,
-# with a fault late in the file, and ending in a row without a newline
-SPAWNED = dict(layout=[ROW, ""] * 8, newline=True, size=3, method="spawn", fault=("json", 7))
-LATE_FAULT = dict(layout=[ROW, "", ROW, " \t"] * 6, newline=True, size=2, method="fork")
-NO_NEWLINE = dict(layout=["", ROW, ROW, " \t", ROW] * 5, newline=False, size=2, method="fork",
-                  fault=None)
+# files whose first chunk fixes the state and whose rest goes to workers: with
+# bad JSON in a worker's chunk, with a fault late in the file, and ending in a
+# row without a newline
+BAD_JSON = dict(layout=[ROW, ""] * 8, newline=True, size=3, fault=("json", 7))
+LATE_FAULT = dict(layout=[ROW, "", ROW, " \t"] * 6, newline=True, size=2)
+NO_NEWLINE = dict(layout=["", ROW, ROW, " \t", ROW] * 5, newline=False, size=2, fault=None)
 
 
 @settings(deadline=None)
@@ -622,13 +571,12 @@ NO_NEWLINE = dict(layout=["", ROW, ROW, " \t", ROW] * 5, newline=False, size=2, 
     ),
     newline=st.booleans(),
     size=st.integers(1, 7),
-    method=st.just("fork"),
     fault=fault_at("json", "missing-field", "repeated-id", "non-finite-log-prob", "extras-clash"),
 )
-@example(**{**SPAWNED, "layout": ["good", ""] * 8})
+@example(**{**BAD_JSON, "layout": ["good", ""] * 8})
 @example(**{**LATE_FAULT, "layout": ["good", "", "clipped", " \t"] * 6}, fault=("json", 9))
 @example(**{**NO_NEWLINE, "layout": ["", "good", "unusable", " \t", "no-extras"] * 5})
-def test_featurize_writes_and_warns_as_on_one_cpu(layout, newline, size, method, fault):
+def test_featurize_writes_and_warns_as_on_one_cpu(layout, newline, size, fault):
     docs = [candidate(kind, i) for i, kind in enumerate(k for k in layout if k.strip())]
     with tempfile.TemporaryDirectory() as tmp:
         src, out = Path(tmp) / "in.jsonl", Path(tmp) / "features.jsonl"
@@ -638,7 +586,7 @@ def test_featurize_writes_and_warns_as_on_one_cpu(layout, newline, size, method,
             pipeline.featurize_command(src, out, "mps-nb")
             return _bytes(out)
 
-        outcome = as_on_one_cpu(run, method, "CHUNK_RECORDS", size)
+        outcome = as_on_one_cpu(run, "CHUNK_RECORDS", size)
         assert list(Path(tmp).glob("*.tmp")) == []
     if not isinstance(outcome[0], type):  # written: every record counted, rows in file order
         rows, summary = outcome
@@ -647,63 +595,61 @@ def test_featurize_writes_and_warns_as_on_one_cpu(layout, newline, size, method,
         assert used == sorted(used)
 
 
-def load_drawn(loader, layout, docs, newline, size, method, fault):
+def load_drawn(loader, layout, docs, newline, size, fault):
     """``as_on_one_cpu`` for ``loader`` on ``docs`` written by ``write_drawn``;
     when it loads, its ids are those of ``docs``, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.jsonl"
         write_drawn(path, layout, docs, newline, fault)
-        outcome = as_on_one_cpu(lambda: _columns(loader(path)), method, "CHUNK_ROWS", size)
+        outcome = as_on_one_cpu(lambda: _columns(loader(path)), "CHUNK_ROWS", size)
     if not isinstance(outcome[0], type):
         assert list(outcome[0]) == [str(doc["id"]) for doc in docs]
 
 
 @settings(deadline=None)
 @given(
-    layout=LAYOUT, newline=st.booleans(), size=st.integers(1, 7), method=st.just("fork"),
+    layout=LAYOUT, newline=st.booleans(), size=st.integers(1, 7),
     fault=fault_at("json", "missing-field", "repeated-id", "schema-change", "non-finite-value"),
 )
-@example(**SPAWNED)
+@example(**BAD_JSON)
 @example(**LATE_FAULT, fault=("non-finite-value", 9))
 @example(**NO_NEWLINE)
-def test_a_feature_file_loads_as_on_one_cpu(layout, newline, size, method, fault):
+def test_a_feature_file_loads_as_on_one_cpu(layout, newline, size, fault):
     docs = feature_rows()[:layout.count(ROW)]
-    load_drawn(pipeline.load_features, layout, docs, newline, size, method, fault)
+    load_drawn(pipeline.load_features, layout, docs, newline, size, fault)
 
 
 @settings(deadline=None)
 @given(
-    layout=LAYOUT, newline=st.booleans(), size=st.integers(1, 7), method=st.just("fork"),
+    layout=LAYOUT, newline=st.booleans(), size=st.integers(1, 7),
     fault=fault_at("json", "missing-field", "repeated-id", "non-finite-prob"),
 )
-@example(**SPAWNED)
+@example(**BAD_JSON)
 @example(**LATE_FAULT, fault=("repeated-id", 9))
 @example(**NO_NEWLINE)
-def test_a_scored_file_loads_as_on_one_cpu(layout, newline, size, method, fault):
+def test_a_scored_file_loads_as_on_one_cpu(layout, newline, size, fault):
     docs = scored_rows()[:layout.count(ROW)]
-    load_drawn(pipeline.load_scored, layout, docs, newline, size, method, fault)
+    load_drawn(pipeline.load_scored, layout, docs, newline, size, fault)
 
 
-@pytest.mark.parametrize("method", METHODS)
 def test_the_ranges_left_decide_on_a_pool_whatever_the_clock(
-    tmp_path, monkeypatch, started, method
+    tmp_path, monkeypatch, started, as_one_thread
 ):
-    # the real thresholds, with short ranges so that spawn's files stay small,
-    # and a clock that jumps 10 s a call: a file with as many ranges left as
-    # the threshold starts a pool on every run, and one with a range fewer none
+    # the real threshold, with short ranges so that the files stay small, and
+    # a clock that jumps 10 s a call: a file with as many ranges left as the
+    # threshold starts a pool on every run, and one with a range fewer none
     clock = itertools.count(0.0, 10.0)
     monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
     monkeypatch.setattr(pipeline, "CHUNK_RECORDS", 2)
     monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
     monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
-    monkeypatch.setattr(pipeline, "_one_thread", lambda: method == "fork")
-    left = pipeline.POOL_MIN_RANGES[method]
+    left = pipeline.POOL_MIN_RANGES
 
     def scored(i):
         return {"id": f"r{i}", "label": i % 2, "calibrated_prob": i % 5 / 4}
 
     for kind, size, row in [("candidates", 2, good), ("scored", ROWS, scored)]:
-        for ranges_left, pools in [(left, [(2, method)]), (left - 1, [])]:
+        for ranges_left, pools in [(left, [2]), (left - 1, [])]:
             path = tmp_path / f"{kind}{ranges_left}.jsonl"
             rows = [json.dumps(row(i)) + "\n" for i in range((1 + ranges_left) * size)]
             path.write_text("".join(rows), encoding="utf-8")
@@ -722,7 +668,7 @@ import concurrent.futures, json, os, sys, threading
 sys.path.insert(0, sys.argv[1])
 from sqlcalib import cli, pipeline
 pipeline._cpus = lambda: int(sys.argv[2])
-pipeline.POOL_MIN_RANGES = dict.fromkeys(("fork", "spawn"), 2)
+pipeline.POOL_MIN_RANGES = 2
 methods = []
 class Executor(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, max_workers, mp_context):
@@ -811,7 +757,7 @@ def test_a_cli_run_of_one_thread_forks_and_prints_as_in_one_process(tmp_path):
 
 
 def test_a_plain_cli_run_loads_no_numpy_and_forks(tmp_path):
-    # no BLAS variable set: had numpy been imported, its BLAS thread would make the pool spawn
+    # no BLAS variable set: had numpy been imported, its BLAS thread would keep the pool from starting
     methods, numpy_loaded = featurize_in_children(tmp_path, env=dict.fromkeys(ONE_BLAS_THREAD))
     assert methods == [["fork"], []]
     assert numpy_loaded == [False, False]
@@ -832,22 +778,31 @@ def test_a_plain_cli_fit_forks_its_loader_and_writes_the_same_model(tmp_path):
     assert (tmp_path / "m2.json").read_bytes() == (tmp_path / "m1.json").read_bytes()
 
 
+# a child that must not pool also must not cut its file into ranges
+NO_RANGES = (
+    "def no_ranges(path, size):\n"
+    "    raise AssertionError('cut into ranges')\n"
+    "pipeline._ranges = no_ranges\n"
+)
+
+
 @pytest.mark.parametrize(
-    "setup, method",
+    "setup, methods",
     [
-        ("", "fork"),
+        ("", ["fork"]),
         ("release = threading.Event()\n"
-         "threading.Thread(target=release.wait, daemon=True).start()\n", "spawn"),
+         "threading.Thread(target=release.wait, daemon=True).start()\n" + NO_RANGES, []),
         ("listdir = os.listdir\n"
          "def no_proc(path='.'):\n"
          "    if str(path).startswith('/proc'):\n"
          "        raise FileNotFoundError(path)\n"
          "    return listdir(path)\n"
-         "os.listdir = no_proc\n", "spawn"),
+         "os.listdir = no_proc\n" + NO_RANGES, []),
     ],
     ids=["one-thread", "another-thread", "no-proc"],
 )
-def test_only_a_process_of_one_thread_forks_its_workers(tmp_path, setup, method):
+def test_only_a_process_of_one_thread_forks_its_workers(tmp_path, monkeypatch, setup, methods):
+    # any other process reads its file itself, as on one CPU
     src, out = tmp_path / "in.jsonl", tmp_path / "f.jsonl"
     src.write_text("\n".join(json.dumps(good(i)) for i in range(3 * CHUNK)) + "\n")
     code = CHILD + setup + (
@@ -856,4 +811,7 @@ def test_only_a_process_of_one_thread_forks_its_workers(tmp_path, setup, method)
     )
     proc = run_child(code, str(ROOT / "src"), "2", str(src), str(out), env=ONE_BLAS_THREAD)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    assert json.loads(proc.stdout) == [method]
+    assert json.loads(proc.stdout) == methods
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
+    pipeline.featurize_command(src, tmp_path / "f1.jsonl", "mps-nb")
+    assert _bytes(out) == _bytes(tmp_path / "f1.jsonl")
