@@ -4,15 +4,17 @@ Every stage exchanges JSONL so runs are streamable and diffable. Records
 that fail individually never abort a run; they are counted and reported
 in a sidecar summary so that input lines are always fully accounted for.
 
-Candidate, feature and scored files are read in chunks on every CPU this
-process may use, by workers it forks while it runs one thread. No reader
-loads numpy, whose BLAS may start threads: the numeric commands import it,
-with ``calibrate`` and ``metrics``, only once their input is decoded.
+Candidate, feature and scored files are read once, by this process, and
+their chunks run on every CPU it may use, by workers it forks while it runs
+one thread. No reader loads numpy, whose BLAS may start threads: the
+numeric commands import it, with ``calibrate`` and ``metrics``, only once
+their input is decoded.
 """
 
 import json
 import math
 import os
+import stat
 import warnings
 from array import array
 from collections import deque
@@ -71,16 +73,10 @@ CANDIDATE_FIELDS = ("id", "label", "candidates")
 CLIPPED = "sum_log_prob > 0; probability will be clipped"
 
 
-def _lines(path, start=0, lineno=1) -> Iterator[tuple[int, bytes]]:
-    """``(lineno, line)`` per non-blank line of ``path`` from byte ``start``,
-    where line ``lineno`` begins; as bytes, so bad UTF-8 is a JsonError on its
-    own line."""
-    with open(path, "rb") as fh:
-        if start:  # a pipe cannot seek, not even to 0
-            fh.seek(start)
-        for lineno, line in enumerate(fh, start=lineno):
-            if line.strip():
-                yield lineno, line
+def _lines(fh) -> Iterator[tuple[int, bytes]]:
+    """``(lineno, line)`` per non-blank line of the binary file ``fh``; as
+    bytes, so bad UTF-8 is a JsonError on its own line."""
+    return ((lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip())
 
 
 def _decode(line: bytes, lineno: int, required=()) -> dict:
@@ -228,7 +224,8 @@ def choose_primary(record: CandidateRecord, scope: str = "union") -> Candidate:
 def load_candidates(path) -> list[CandidateRecord]:
     """Every record of a candidate file, read through featurize's own ``_records``,
     for the tests and perfbench's tracer; warns when there is none."""
-    records = list(_records(_lines(path)))
+    with open(path, "rb") as fh:
+        records = list(_records(_lines(fh)))
     if not records:
         warnings.warn(f"{path}: no records found", stacklevel=2)
     return records
@@ -326,11 +323,13 @@ def _feature_row(id_, label, group, schema_id, values, raw_prob) -> dict:
 
 CHUNK_RECORDS = 25  # records per featurize task: about 0.02 s of parsing, 12 KB of rows back
 CHUNK_ROWS = 2000  # rows per loader task: 0.03 s to decode for a 21-value feature file, 0.01 s scored
-# The ranges left, once the parent's have fixed the state, from which a pool
+# The chunks left, once the parent's have fixed the state, from which a pool
 # starts: a count, so a file takes the same path on every run. Forking and
-# stopping two workers takes about 0.016 s (2-vCPU VM), and in fresh processes a
-# pool beat one process from about 4 ranges left on candidate and feature files
-# and 8 on scored files.
+# stopping two workers takes about 0.016 s (2-vCPU VM). With the lines shipped
+# to the workers, a pool beat one process in fresh processes (20 pairs a count)
+# from about 4 chunks left on candidate files (14 of 20) and 5 on feature files
+# (17 of 20), while on scored files it lost up to 11 (0.070 s against 0.044 s
+# at 4). No other count beats 4 for all three readers.
 POOL_MIN_RANGES = 4
 
 
@@ -365,45 +364,39 @@ def _one_thread() -> bool:
         return False
 
 
-def _ranges(path, size: int) -> Iterator[tuple[int, int]]:
-    """``(start, lineno)`` of the first line of each run of ``size`` non-blank
-    lines of ``path``: its byte offset and its number."""
-    with open(path, "rb") as fh:
-        start = count = 0
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                if not count % size:
-                    yield start, lineno
-                count += 1
-            start += len(line)
-
-
-def _run_range(task, path, size: int, start: int, lineno: int):
-    """``task`` on the ``(lineno, line)`` pairs of the run of ``size`` non-blank
-    lines of ``path`` that begins at byte ``start``, on line ``lineno``."""
-    return task(islice(_lines(path, start, lineno), size))
+def _chunks_ahead(fh, size: int, most: int) -> int:
+    """Up to ``most`` runs of ``size`` non-blank lines left in the regular file
+    ``fh``, counted by ``os.pread``, so that ``fh`` reads on and none is held."""
+    fd, offset, rows, tail = fh.fileno(), fh.tell(), 0, b""
+    while rows < most * size and (block := os.pread(fd, 1 << 16, offset)):
+        offset += len(block)
+        *whole, tail = (tail + block).split(b"\n")
+        rows += sum(1 for line in whole if line.strip())
+    rows += bool(tail.strip())
+    return min(most, -(-rows // size))
 
 
 def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
     """``task``'s result on each run of ``size`` non-blank lines of ``path``,
     in file order: the one reader of candidate, feature and scored files.
 
-    The parent streams the file once, running chunks itself until ``fixed``
-    of a result returns the task for the rest, which carries the state that
-    result fixed (the extras layout of a candidate file, the schema of a
-    feature file). It runs the rest itself too, unless it runs one thread,
-    so that a fork copies no other thread's half-done state, it has more
-    than one CPU, the file can be read again (a pipe cannot), and at least
-    POOL_MIN_RANGES ranges are left. Then it closes its stream, and the
-    rest go to a pool of worker processes it forks, one per CPU, whose
-    shutdown ``stack`` owns. Each task is a chunk's start, from which its
-    worker reads it, and at most two per worker are in flight, so memory
-    stays flat in input size.
+    The parent opens the file once, a pipe as a regular file, and runs chunks
+    itself until ``fixed`` of a result returns the task for the rest, which
+    carries the state that result fixed (the extras layout of a candidate
+    file, the schema of a feature file). It runs the rest itself too, unless
+    it runs one thread, so that a fork copies no other thread's half-done
+    state, has more than one CPU, and counts at least POOL_MIN_RANGES chunks
+    left: by ``_chunks_ahead`` in a regular file, as lists read ahead in a
+    pipe, which cannot be read again. Then a pool of workers it forks, one
+    per CPU, runs each chunk's ``(lineno, line)`` pairs, at most two per
+    worker in flight, so memory stays flat in input size. ``stack`` owns the
+    file and the pool.
     """
-    lines = _lines(path)
-    # lazily, so that no chunk is held as a list: every task reads its whole chunk
+    fh = stack.enter_context(open(path, "rb"))
+    lines = _lines(fh)
+    # lazily, so that a chunk the parent runs as it reads is no list: every task reads all of it
     chunks = (chain([first], islice(lines, size - 1)) for first in lines)
-    for ran, chunk in enumerate(chunks, start=1):
+    for chunk in chunks:
         done = task(chunk)
         yield done
         rest = fixed(done)
@@ -411,25 +404,28 @@ def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
             break
     else:
         return
-    if _one_thread() and (cpus := _cpus()) > 1 and os.path.isfile(path):
-        ranges = islice(_ranges(path, size), ran, None)  # past the ranges the parent ran
-        ahead = list(islice(ranges, max(POOL_MIN_RANGES, cpus)))
-        if len(ahead) >= POOL_MIN_RANGES:
-            lines.close()
+    if _one_thread() and (cpus := _cpus()) > 1:
+        most = max(POOL_MIN_RANGES, cpus)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            ahead, left = [], _chunks_ahead(fh, size, most)
+        else:
+            ahead = [list(chunk) for chunk in islice(chunks, most)]
+            left = len(ahead)
+        if left >= POOL_MIN_RANGES:
             import multiprocessing  # here, so only a run that starts a pool imports them
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(
-                min(cpus, len(ahead)), mp_context=multiprocessing.get_context("fork")
+                min(cpus, left), mp_context=multiprocessing.get_context("fork")
             ))
-            submit = partial(pool.submit, _run_range, rest, path, size)
-            ranges = chain(ahead, ranges)
-            in_flight = deque(submit(*r) for r in islice(ranges, 2 * cpus))
+            listed = chain(ahead, map(list, chunks))
+            in_flight = deque(pool.submit(rest, chunk) for chunk in islice(listed, 2 * cpus))
             while in_flight:
                 done = in_flight.popleft().result()
-                in_flight.extend(submit(*r) for r in islice(ranges, 1))
+                in_flight.extend(pool.submit(rest, chunk) for chunk in islice(listed, 1))
                 yield done
             return
+        chunks = chain(ahead, chunks)
     yield from map(rest, chunks)
 
 
@@ -784,9 +780,12 @@ def _scored_columns(lines) -> _Columns:
 def load_scored(path) -> tuple[list[str], array, array]:
     """A scored file's ids, labels and calibrated probabilities, in file
     order, read on every CPU this process may use; ids are compared as
-    strings and must be unique. The numbers are float arrays, not numpy's,
-    so that a command loads numpy only after reading all of its files."""
+    strings and must be unique, and a file of no rows is a SchemaError. The
+    numbers are float arrays, not numpy's, so that a command loads numpy
+    only after reading all of its files."""
     cols = _load_columns(path, _scored_columns, lambda done: _scored_columns)
+    if not cols.ids:  # the caller names the file, as it does for a bad line
+        raise SchemaError("no scored rows")
     _check_unique_ids(cols.ids, cols.linenos)
     return cols.ids, cols.labels, cols.probs
 

@@ -208,13 +208,16 @@ def signal_file(tmp_path_factory):
     return path
 
 
-def test_load_features_allocates_under_four_matrices(signal_file):
+def test_load_features_allocates_under_four_matrices(signal_file, monkeypatch):
+    # as a CLI process of one thread on two CPUs: two chunks left, too few for a pool
+    monkeypatch.setattr(pipeline, "_one_thread", lambda: True)
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
     assert pipeline.load_features(signal_file).X.nbytes == X_BYTES
     assert _peak_bytes(pipeline.load_features, signal_file) < 4 * X_BYTES
 
 
 def test_load_features_allocates_under_four_matrices_on_one_cpu(signal_file, monkeypatch):
-    # one CPU, like a pipe, streams every chunk through the parent
+    # one CPU streams every chunk through the parent, with no count ahead
     monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
     assert _peak_bytes(pipeline.load_features, signal_file) < 4 * X_BYTES
 

@@ -332,7 +332,8 @@ class TestStreaming:
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("\n" + json.dumps(make_record()) + "\n   \n")
-        assert [lineno for lineno, _ in pipeline._lines(path)] == [2]
+        with path.open("rb") as fh:
+            assert [lineno for lineno, _ in pipeline._lines(fh)] == [2]
 
 
 def _featurize_summary(tmp_path, records):
@@ -1232,6 +1233,20 @@ class TestCompare:
         with pytest.raises(error) as info:
             pipeline.compare_command(*paths, tmp_path / "s.json")
         assert str(info.value).startswith(f"{paths[side]}: line 6: ")
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_file_of_no_rows_is_named_once(self, tmp_path, capsys, side, text):
+        rows = [json.dumps({"id": f"r{i}", "label": i % 2, "calibrated_prob": 0.2}) for i in range(5)]
+        paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for path in paths:
+            path.write_text("\n".join(rows) + "\n")
+        paths[side].write_text(text)
+        out = tmp_path / "s.json"
+        assert main(["compare", "--input-a", str(paths[0]), "--input-b", str(paths[1]),
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {paths[side]}: no scored rows\n"
+        assert not out.exists()
 
 
 class TestSynth:

@@ -302,7 +302,7 @@ def test_pooled_scored_file_loads_as_in_one_process(load):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_a_descriptor_path_reaches_the_workers_as_the_file_it_names(load):
-    # a forked worker inherits this process's descriptors, so the path names the same file in it
+    # the parent opens the path once and hands its workers the lines of the file it names
     def via_descriptor(path):
         with open(path, "rb") as fh:
             return pipeline.load_features(f"/dev/fd/{fh.fileno()}")
@@ -362,6 +362,7 @@ def _read(kind: str, path: Path):
 def test_a_pipe_is_read_once_in_this_process(
     tmp_path, monkeypatch, started, as_one_thread, kind, lines
 ):
+    # the parent reads a pipe as it does a regular file, and pools it alike
     monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
     monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", 2)
     monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
@@ -374,28 +375,41 @@ def test_a_pipe_is_read_once_in_this_process(
     writer.start()
     piped = _read(kind, fifo)
     writer.join(timeout=60)
-    assert not writer.is_alive() and started == []
+    assert not writer.is_alive() and started == [2]
     regular = tmp_path / "file"
     regular.write_text(text, encoding="utf-8")
-    assert piped == _read(kind, regular) and len(started) == 1
+    assert piped == _read(kind, regular) and started == [2, 2]
 
 
 @pytest.mark.filterwarnings("ignore:sum_log_prob")
 def test_one_cpu_reads_each_file_once_in_this_process(tmp_path, monkeypatch, started, as_one_thread):
-    def no_ranges(path, size):
-        raise AssertionError("cut into ranges")
+    # on one CPU, and on two with a pool, the parent opens each input once and
+    # no worker opens it
+    parent, opened = os.getpid(), []
 
-    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
-    monkeypatch.setattr(pipeline, "_ranges", no_ranges)
-    for kind, lines in [("candidates", mixed_lines()), ("scored", as_lines(scored_rows()))]:
-        path = tmp_path / kind
-        path.write_text("\n".join(lines), encoding="utf-8")
-        _read(kind, path)
-    assert started == []
+    def counted(path, *args, **kwargs):
+        assert os.getpid() == parent, f"a worker opened {path}"
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "open", counted, raising=False)
+    monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
+    monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", 2)
+    readers = [("candidates", mixed_lines()), ("features", as_lines(feature_rows())),
+               ("scored", as_lines(scored_rows()))]
+    for cpus, pools in [(1, []), (2, [2])]:
+        monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+        for kind, lines in readers:
+            path = tmp_path / f"{kind}{cpus}"
+            path.write_text("\n".join(lines), encoding="utf-8")
+            started.clear()
+            opened.clear()
+            _read(kind, path)
+            assert (started, opened.count(path)) == (pools, 1), (kind, cpus)
 
 
 def test_two_ranges_per_worker_are_in_flight(tmp_path, monkeypatch, as_one_thread):
-    # a range is in flight from its submit until the parent takes its result
+    # a chunk is in flight from its submit until the parent takes its result
     in_flight, counts = set(), []
 
     class Executor(concurrent.futures.ProcessPoolExecutor):
@@ -420,7 +434,7 @@ def test_two_ranges_per_worker_are_in_flight(tmp_path, monkeypatch, as_one_threa
     path = tmp_path / "in.jsonl"
     path.write_text("\n".join(as_lines(rows)), encoding="utf-8")
     assert pipeline.load_scored(path)[0] == [str(row["id"]) for row in rows]
-    # the parent reads the first of ten ranges; each of the nine left is submitted once
+    # the parent runs the first of ten chunks; each of the nine left is submitted once
     assert len(counts) == 9 and max(counts) == 4 and not in_flight
 
 
@@ -456,26 +470,36 @@ def test_the_chunks_in_file_order_are_one_pass_over_the_file(lines, newline, siz
                     stack,
                 ))
             assert multiprocessing.active_children() == []
-            assert list(itertools.chain(*chunks)) == list(pipeline._lines(path)) == expected
+            assert list(itertools.chain(*chunks)) == expected
             assert all(len(chunk) == size for chunk in chunks[:-1])
+
+
+LONG = "x" * 40000  # lines that often straddle the 64 KB blocks ``_chunks_ahead`` reads
 
 
 @settings(deadline=None)
 @given(
-    lines=st.lists(st.sampled_from(["", " \t", "a", "{}", "b c", "[1]"]), max_size=60),
+    lines=st.lists(st.sampled_from(["", " \t", "a", "b c", LONG, " " * 40000]), max_size=12),
     newline=st.booleans(),
-    size=st.integers(1, 7),
+    size=st.integers(1, 4),
+    ran=st.integers(0, 3),
+    most=st.integers(1, 5),
 )
-def test_a_range_is_where_every_size_th_line_starts(lines, newline, size):
+@example(lines=[LONG, "a", "", LONG, "b c"], newline=False, size=1, ran=1, most=4)
+def test_the_chunks_counted_ahead_are_the_chunks_left(lines, newline, size, ran, most):
+    # after the parent has read ``ran`` chunks, up to ``most`` of those left
     text = "".join(line + "\n" for line in lines)
     data = (text if newline else text[:-1]).encode()
+    rows = sum(1 for line in data.split(b"\n") if line.strip())
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.jsonl"
         path.write_bytes(data)
-        ranges = list(pipeline._ranges(path, size))
-        firsts = list(pipeline._lines(path))[::size]
-    assert [lineno for _, lineno in ranges] == [lineno for lineno, _ in firsts]
-    assert all(data[start:].startswith(line) for (start, _), (_, line) in zip(ranges, firsts))
+        with path.open("rb") as fh:
+            lines = pipeline._lines(fh)
+            read = list(itertools.islice(lines, ran * size))
+            left = max(0, rows - len(read))
+            assert pipeline._chunks_ahead(fh, size, most) == min(most, -(-left // size))
+            assert len(read) + len(list(lines)) == rows  # the count moved no file position
 
 
 # -- each reader on drawn files, against one CPU ----------------------------------
@@ -660,15 +684,12 @@ def test_the_ranges_left_decide_on_a_pool_whatever_the_clock(
                 assert multiprocessing.active_children() == []
 
 
-# The head of a child interpreter's script: sqlcalib from argv[1], featurize on
-# argv[2] CPUs from two ranges left, and the start method of each pool
-# started appended to ``methods``.
-CHILD = """\
+# The head of a child interpreter's script: sqlcalib from argv[1], and the
+# start method of each pool started appended to ``methods``.
+HEAD = """\
 import concurrent.futures, json, os, sys, threading
 sys.path.insert(0, sys.argv[1])
 from sqlcalib import cli, pipeline
-pipeline._cpus = lambda: int(sys.argv[2])
-pipeline.POOL_MIN_RANGES = 2
 methods = []
 class Executor(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, max_workers, mp_context):
@@ -676,6 +697,11 @@ class Executor(concurrent.futures.ProcessPoolExecutor):
         super().__init__(max_workers, mp_context=mp_context)
 concurrent.futures.ProcessPoolExecutor = Executor
 """
+# ... reading on argv[2] CPUs, with a pool from two ranges left
+CHILD = HEAD + "pipeline._cpus = lambda: int(sys.argv[2])\npipeline.POOL_MIN_RANGES = 2\n"
+# ... run on argv[2] CPUs of its affinity mask, with _cpus and POOL_MIN_RANGES
+# as they are in any run
+PINNED = HEAD + "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:int(sys.argv[2])])\n"
 # numpy then starts no BLAS thread, so the child runs one OS thread
 ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
@@ -691,12 +717,12 @@ def run_child(code, *argv, env=None):
     )
 
 
-def cli_in_children(tmp_path, argv, env):
-    """``sqlcalib`` with the arguments ``argv(cpus)`` in a child on 2 CPUs,
-    then on 1, which print the same; the pooled child's stderr, the start
-    methods of the pools each child started, and whether each had loaded
-    numpy when the command returned."""
-    code = CHILD + (
+def cli_in_children(tmp_path, argv, env, head=CHILD):
+    """``sqlcalib`` with the arguments ``argv(cpus)`` in a child that runs
+    ``head`` on 2 CPUs, then on 1, which print the same; the pooled child's
+    stderr, the start methods of the pools each child started, and whether
+    each had loaded numpy when the command returned."""
+    code = head + (
         "rc = cli.main(sys.argv[4:])\n"
         "with open(sys.argv[3], 'w') as fh:\n"
         "    json.dump([methods, 'numpy' in sys.modules], fh)\n"
@@ -778,12 +804,40 @@ def test_a_plain_cli_fit_forks_its_loader_and_writes_the_same_model(tmp_path):
     assert (tmp_path / "m2.json").read_bytes() == (tmp_path / "m1.json").read_bytes()
 
 
-# a child that must not pool also must not cut its file into ranges
-NO_RANGES = (
-    "def no_ranges(path, size):\n"
-    "    raise AssertionError('cut into ranges')\n"
-    "pipeline._ranges = no_ranges\n"
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs"
 )
+def test_a_plain_cli_fit_pools_a_pipe_and_writes_the_model_of_the_file(tmp_path):
+    # CPU count and threshold as in any run: five chunks, so four are left
+    # once the first fixes the schema, the real POOL_MIN_RANGES. BLAS runs
+    # one thread, as the CPU count would otherwise change the model's last bits
+    src = tmp_path / "features.jsonl"
+    pipeline.synth_command(5 * pipeline.CHUNK_ROWS, "mps-signal", 0, src)
+    writers = []
+
+    def piped(cpus):
+        fifo = tmp_path / f"pipe{cpus}"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(src.read_bytes(),), daemon=True)
+        writer.start()
+        writers.append(writer)
+        return fifo
+
+    models = []
+    for name, source in [("piped", piped), ("file", lambda cpus: src)]:
+        _, methods, _ = cli_in_children(
+            tmp_path,
+            lambda cpus: ["fit", "--input", str(source(cpus)),
+                          "--output", str(tmp_path / f"{name}{cpus}.json")],
+            env=ONE_BLAS_THREAD, head=PINNED,
+        )
+        assert methods == [["fork"], []], name
+        models += [(tmp_path / f"{name}{cpus}.json").read_bytes() for cpus in (2, 1)]
+    for writer in writers:
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+    assert len(set(models)) == 1
 
 
 @pytest.mark.parametrize(
@@ -791,13 +845,13 @@ NO_RANGES = (
     [
         ("", ["fork"]),
         ("release = threading.Event()\n"
-         "threading.Thread(target=release.wait, daemon=True).start()\n" + NO_RANGES, []),
+         "threading.Thread(target=release.wait, daemon=True).start()\n", []),
         ("listdir = os.listdir\n"
          "def no_proc(path='.'):\n"
          "    if str(path).startswith('/proc'):\n"
          "        raise FileNotFoundError(path)\n"
          "    return listdir(path)\n"
-         "os.listdir = no_proc\n" + NO_RANGES, []),
+         "os.listdir = no_proc\n", []),
     ],
     ids=["one-thread", "another-thread", "no-proc"],
 )
