@@ -14,7 +14,6 @@ their input is decoded.
 import json
 import math
 import os
-import stat
 import warnings
 from array import array
 from collections import deque
@@ -330,7 +329,7 @@ CHUNK_ROWS = 2000  # rows per loader task: 0.03 s to decode for a 21-value featu
 # from about 4 chunks left on candidate files (14 of 20) and 5 on feature files
 # (17 of 20), while on scored files it lost up to 11 (0.070 s against 0.044 s
 # at 4). No other count beats 4 for all three readers.
-POOL_MIN_RANGES = 4
+POOL_MIN_CHUNKS = 4
 
 
 def featurize_records(
@@ -365,15 +364,13 @@ def _one_thread() -> bool:
 
 
 def _chunks_ahead(fh, size: int, most: int) -> int:
-    """Up to ``most`` runs of ``size`` non-blank lines left in the regular file
-    ``fh``, counted by ``os.pread``, so that ``fh`` reads on and none is held."""
-    fd, offset, rows, tail = fh.fileno(), fh.tell(), 0, b""
-    while rows < most * size and (block := os.pread(fd, 1 << 16, offset)):
-        offset += len(block)
-        *whole, tail = (tail + block).split(b"\n")
-        rows += sum(1 for line in whole if line.strip())
-    rows += bool(tail.strip())
-    return min(most, -(-rows // size))
+    """Up to ``most`` chunks of ``size`` lines, as ``_lines`` yields them,
+    left in the seekable file ``fh``; counted with none held, and ``fh``
+    sought back, so that a stream over it reads on from where it was."""
+    at = fh.tell()
+    rows = sum(1 for _ in islice(_lines(fh), most * size))
+    fh.seek(at)
+    return -(-rows // size)
 
 
 def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
@@ -385,8 +382,8 @@ def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
     carries the state that result fixed (the extras layout of a candidate
     file, the schema of a feature file). It runs the rest itself too, unless
     it runs one thread, so that a fork copies no other thread's half-done
-    state, has more than one CPU, and counts at least POOL_MIN_RANGES chunks
-    left: by ``_chunks_ahead`` in a regular file, as lists read ahead in a
+    state, has more than one CPU, and counts at least POOL_MIN_CHUNKS chunks
+    left: by ``_chunks_ahead`` in a seekable file, as lists read ahead in a
     pipe, which cannot be read again. Then a pool of workers it forks, one
     per CPU, runs each chunk's ``(lineno, line)`` pairs, at most two per
     worker in flight, so memory stays flat in input size. ``stack`` owns the
@@ -405,13 +402,13 @@ def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
     else:
         return
     if _one_thread() and (cpus := _cpus()) > 1:
-        most = max(POOL_MIN_RANGES, cpus)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        most = max(POOL_MIN_CHUNKS, cpus)
+        if fh.seekable():
             ahead, left = [], _chunks_ahead(fh, size, most)
         else:
             ahead = [list(chunk) for chunk in islice(chunks, most)]
             left = len(ahead)
-        if left >= POOL_MIN_RANGES:
+        if left >= POOL_MIN_CHUNKS:
             import multiprocessing  # here, so only a run that starts a pool imports them
             from concurrent.futures import ProcessPoolExecutor
 

@@ -11,7 +11,6 @@ import pickle
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 import warnings
 from array import array
@@ -112,13 +111,13 @@ def as_one_thread(monkeypatch):
 @pytest.fixture
 def featurize(tmp_path, monkeypatch, started, as_one_thread):
     """Featurize ``lines`` with ``cpus`` CPUs; the sizes of the pools started.
-    A pool starts from ``min_ranges`` ranges left, two unless given. Each run
+    A pool starts from ``min_chunks`` chunks left, two unless given. Each run
     leaves no worker and no temporary file behind."""
 
-    def run(lines, cpus, min_ranges=2):
+    def run(lines, cpus, min_chunks=2):
         started.clear()
         monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
-        monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", min_ranges)
+        monkeypatch.setattr(pipeline, "POOL_MIN_CHUNKS", min_chunks)
         src = tmp_path / f"in{cpus}.jsonl"
         src.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out = tmp_path / f"out{cpus}" / "features.jsonl"
@@ -171,9 +170,9 @@ def test_one_chunk_left_after_the_layout_starts_no_pool(featurize):
 
 
 def test_too_little_work_left_starts_no_pool(featurize):
-    # three ranges left after the first, below the threshold
+    # three chunks left after the first, below the threshold
     lines = [json.dumps(good(i)) for i in range(4 * CHUNK)]
-    assert featurize(lines, cpus=2, min_ranges=pipeline.POOL_MIN_RANGES)[1] == []
+    assert featurize(lines, cpus=2, min_chunks=pipeline.POOL_MIN_CHUNKS)[1] == []
 
 
 LINE = "line {}:"  # what most errors say: the line they were found on
@@ -254,12 +253,12 @@ def _columns(loaded) -> tuple:
 @pytest.fixture
 def load(tmp_path, monkeypatch, started, as_one_thread):
     """``loader`` on ``lines``, written with no newline after the last, in
-    tasks of ROWS rows: on 2 CPUs with a pool from two ranges left, and then
+    tasks of ROWS rows: on 2 CPUs with a pool from two chunks left, and then
     on one CPU. Both return the same columns, each array as its bytes, or
     raise the same error, as (type, message); that outcome, and the sizes of
     the pools each run started."""
     monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
-    monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", 2)
+    monkeypatch.setattr(pipeline, "POOL_MIN_CHUNKS", 2)
 
     def run(loader, lines):
         path = tmp_path / "in.jsonl"
@@ -351,6 +350,15 @@ def _read(kind: str, path: Path):
     return _columns({"features": pipeline.load_features, "scored": pipeline.load_scored}[kind](path))
 
 
+def feeding(fifo: Path, src: Path) -> subprocess.Popen:
+    """``fifo`` made a named pipe, and a started process that copies ``src``
+    into it once a reader opens it. A process, not a thread of this one: a
+    worker forked while a thread held the pipe's write end open would keep
+    it open, and the reader would never see the end of the file."""
+    os.mkfifo(fifo)
+    return subprocess.Popen(["sh", "-c", 'cat "$1" > "$2"', "sh", str(src), str(fifo)])
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize(
     "kind, lines",
@@ -359,30 +367,21 @@ def _read(kind: str, path: Path):
     ids=["features", "scored", "candidates"],
 )
 @pytest.mark.filterwarnings("ignore:sum_log_prob")
-def test_a_pipe_is_read_once_in_this_process(
-    tmp_path, monkeypatch, started, as_one_thread, kind, lines
-):
+def test_a_pipe_pools_as_a_file_does(tmp_path, monkeypatch, started, as_one_thread, kind, lines):
     # the parent reads a pipe as it does a regular file, and pools it alike
     monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
-    monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", 2)
+    monkeypatch.setattr(pipeline, "POOL_MIN_CHUNKS", 2)
     monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
-    text = "\n".join(lines)
-    fifo = tmp_path / "pipe"
-    os.mkfifo(fifo)
-    writer = threading.Thread(
-        target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"}, daemon=True
-    )
-    writer.start()
+    regular, fifo = tmp_path / "file", tmp_path / "pipe"
+    regular.write_text("\n".join(lines), encoding="utf-8")
+    writer = feeding(fifo, regular)
     piped = _read(kind, fifo)
-    writer.join(timeout=60)
-    assert not writer.is_alive() and started == [2]
-    regular = tmp_path / "file"
-    regular.write_text(text, encoding="utf-8")
+    assert writer.wait(timeout=60) == 0 and started == [2]
     assert piped == _read(kind, regular) and started == [2, 2]
 
 
 @pytest.mark.filterwarnings("ignore:sum_log_prob")
-def test_one_cpu_reads_each_file_once_in_this_process(tmp_path, monkeypatch, started, as_one_thread):
+def test_each_input_is_opened_once_by_the_parent(tmp_path, monkeypatch, started, as_one_thread):
     # on one CPU, and on two with a pool, the parent opens each input once and
     # no worker opens it
     parent, opened = os.getpid(), []
@@ -394,7 +393,7 @@ def test_one_cpu_reads_each_file_once_in_this_process(tmp_path, monkeypatch, sta
 
     monkeypatch.setattr(pipeline, "open", counted, raising=False)
     monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
-    monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", 2)
+    monkeypatch.setattr(pipeline, "POOL_MIN_CHUNKS", 2)
     readers = [("candidates", mixed_lines()), ("features", as_lines(feature_rows())),
                ("scored", as_lines(scored_rows()))]
     for cpus, pools in [(1, []), (2, [2])]:
@@ -408,8 +407,15 @@ def test_one_cpu_reads_each_file_once_in_this_process(tmp_path, monkeypatch, sta
             assert (started, opened.count(path)) == (pools, 1), (kind, cpus)
 
 
-def test_two_ranges_per_worker_are_in_flight(tmp_path, monkeypatch, as_one_thread):
-    # a chunk is in flight from its submit until the parent takes its result
+@pytest.mark.parametrize(
+    "pipe",
+    [False, pytest.param(True, marks=pytest.mark.skipif(not hasattr(os, "mkfifo"),
+                                                        reason="needs named pipes"))],
+    ids=["file", "fifo"],
+)
+def test_two_chunks_per_worker_are_in_flight(tmp_path, monkeypatch, as_one_thread, pipe):
+    # a chunk is in flight from its submit until the parent takes its result;
+    # a pipe's chunks read ahead to decide on the pool are submitted as a file's are
     in_flight, counts = set(), []
 
     class Executor(concurrent.futures.ProcessPoolExecutor):
@@ -428,14 +434,17 @@ def test_two_ranges_per_worker_are_in_flight(tmp_path, monkeypatch, as_one_threa
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
     monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
-    monkeypatch.setattr(pipeline, "POOL_MIN_RANGES", 2)
+    monkeypatch.setattr(pipeline, "POOL_MIN_CHUNKS", 2)
     monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
     rows = scored_rows()
-    path = tmp_path / "in.jsonl"
-    path.write_text("\n".join(as_lines(rows)), encoding="utf-8")
+    src = tmp_path / "in.jsonl"
+    src.write_text("\n".join(as_lines(rows)), encoding="utf-8")
+    path = tmp_path / "pipe" if pipe else src
+    writer = feeding(path, src) if pipe else None
     assert pipeline.load_scored(path)[0] == [str(row["id"]) for row in rows]
     # the parent runs the first of ten chunks; each of the nine left is submitted once
     assert len(counts) == 9 and max(counts) == 4 and not in_flight
+    assert writer is None or writer.wait(timeout=60) == 0
 
 
 def _pairs(lines) -> list:
@@ -459,7 +468,7 @@ def test_the_chunks_in_file_order_are_one_pass_over_the_file(lines, newline, siz
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         path = Path(tmp) / "in.jsonl"
         path.write_bytes(data)
-        patch.setattr(pipeline, "POOL_MIN_RANGES", 2)
+        patch.setattr(pipeline, "POOL_MIN_CHUNKS", 2)
         patch.setattr(pipeline, "_one_thread", lambda: True)
         for cpus in (2, 1):
             patch.setattr(pipeline, "_cpus", lambda: cpus)
@@ -474,7 +483,7 @@ def test_the_chunks_in_file_order_are_one_pass_over_the_file(lines, newline, siz
             assert all(len(chunk) == size for chunk in chunks[:-1])
 
 
-LONG = "x" * 40000  # lines that often straddle the 64 KB blocks ``_chunks_ahead`` reads
+LONG = "x" * 40000  # longer than the file's read buffer, so the count reads past what it holds
 
 
 @settings(deadline=None)
@@ -490,16 +499,17 @@ def test_the_chunks_counted_ahead_are_the_chunks_left(lines, newline, size, ran,
     # after the parent has read ``ran`` chunks, up to ``most`` of those left
     text = "".join(line + "\n" for line in lines)
     data = (text if newline else text[:-1]).encode()
-    rows = sum(1 for line in data.split(b"\n") if line.strip())
+    expected = [(n, line) for n, line in enumerate(data.splitlines(keepends=True), 1) if line.strip()]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.jsonl"
         path.write_bytes(data)
         with path.open("rb") as fh:
             lines = pipeline._lines(fh)
             read = list(itertools.islice(lines, ran * size))
-            left = max(0, rows - len(read))
+            left = len(expected) - len(read)
             assert pipeline._chunks_ahead(fh, size, most) == min(most, -(-left // size))
-            assert len(read) + len(list(lines)) == rows  # the count moved no file position
+            # the count moved neither the file position nor the line numbers
+            assert read + list(lines) == expected
 
 
 # -- each reader on drawn files, against one CPU ----------------------------------
@@ -546,13 +556,13 @@ def write_drawn(path, layout, docs, newline, fault) -> None:
 
 def as_on_one_cpu(read, chunk, size):
     """``read()`` in chunks of ``size`` rows (``chunk`` names the constant) on
-    2 CPUs, with a pool from two ranges left, and then on one CPU. Both
+    2 CPUs, with a pool from two chunks left, and then on one CPU. Both
     return the same, or raise the same error, as (type, message), and warn
     as a fresh process would, the same; that outcome."""
     outcomes = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, chunk, size)
-        patch.setattr(pipeline, "POOL_MIN_RANGES", 2)
+        patch.setattr(pipeline, "POOL_MIN_CHUNKS", 2)
         patch.setattr(pipeline, "_one_thread", lambda: True)
         for cpus in (2, 1):
             patch.setattr(pipeline, "_cpus", lambda: cpus)
@@ -656,31 +666,31 @@ def test_a_scored_file_loads_as_on_one_cpu(layout, newline, size, fault):
     load_drawn(pipeline.load_scored, layout, docs, newline, size, fault)
 
 
-def test_the_ranges_left_decide_on_a_pool_whatever_the_clock(
+def test_the_chunks_left_decide_on_a_pool_whatever_the_clock(
     tmp_path, monkeypatch, started, as_one_thread
 ):
-    # the real threshold, with short ranges so that the files stay small, and
-    # a clock that jumps 10 s a call: a file with as many ranges left as the
-    # threshold starts a pool on every run, and one with a range fewer none
+    # the real threshold, with short chunks so that the files stay small, and
+    # a clock that jumps 10 s a call: a file with as many chunks left as the
+    # threshold starts a pool on every run, and one with a chunk fewer none
     clock = itertools.count(0.0, 10.0)
     monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
     monkeypatch.setattr(pipeline, "CHUNK_RECORDS", 2)
     monkeypatch.setattr(pipeline, "CHUNK_ROWS", ROWS)
     monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
-    left = pipeline.POOL_MIN_RANGES
+    left = pipeline.POOL_MIN_CHUNKS
 
     def scored(i):
         return {"id": f"r{i}", "label": i % 2, "calibrated_prob": i % 5 / 4}
 
     for kind, size, row in [("candidates", 2, good), ("scored", ROWS, scored)]:
-        for ranges_left, pools in [(left, [2]), (left - 1, [])]:
-            path = tmp_path / f"{kind}{ranges_left}.jsonl"
-            rows = [json.dumps(row(i)) + "\n" for i in range((1 + ranges_left) * size)]
+        for chunks_left, pools in [(left, [2]), (left - 1, [])]:
+            path = tmp_path / f"{kind}{chunks_left}.jsonl"
+            rows = [json.dumps(row(i)) + "\n" for i in range((1 + chunks_left) * size)]
             path.write_text("".join(rows), encoding="utf-8")
             for _ in range(3):
                 started.clear()
                 _read(kind, path)
-                assert started == pools, (kind, ranges_left)
+                assert started == pools, (kind, chunks_left)
                 assert multiprocessing.active_children() == []
 
 
@@ -697,9 +707,9 @@ class Executor(concurrent.futures.ProcessPoolExecutor):
         super().__init__(max_workers, mp_context=mp_context)
 concurrent.futures.ProcessPoolExecutor = Executor
 """
-# ... reading on argv[2] CPUs, with a pool from two ranges left
-CHILD = HEAD + "pipeline._cpus = lambda: int(sys.argv[2])\npipeline.POOL_MIN_RANGES = 2\n"
-# ... run on argv[2] CPUs of its affinity mask, with _cpus and POOL_MIN_RANGES
+# ... reading on argv[2] CPUs, with a pool from two chunks left
+CHILD = HEAD + "pipeline._cpus = lambda: int(sys.argv[2])\npipeline.POOL_MIN_CHUNKS = 2\n"
+# ... run on argv[2] CPUs of its affinity mask, with _cpus and POOL_MIN_CHUNKS
 # as they are in any run
 PINNED = HEAD + "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:int(sys.argv[2])])\n"
 # numpy then starts no BLAS thread, so the child runs one OS thread
@@ -810,7 +820,7 @@ def test_a_plain_cli_fit_forks_its_loader_and_writes_the_same_model(tmp_path):
 )
 def test_a_plain_cli_fit_pools_a_pipe_and_writes_the_model_of_the_file(tmp_path):
     # CPU count and threshold as in any run: five chunks, so four are left
-    # once the first fixes the schema, the real POOL_MIN_RANGES. BLAS runs
+    # once the first fixes the schema, the real POOL_MIN_CHUNKS. BLAS runs
     # one thread, as the CPU count would otherwise change the model's last bits
     src = tmp_path / "features.jsonl"
     pipeline.synth_command(5 * pipeline.CHUNK_ROWS, "mps-signal", 0, src)
@@ -818,10 +828,7 @@ def test_a_plain_cli_fit_pools_a_pipe_and_writes_the_model_of_the_file(tmp_path)
 
     def piped(cpus):
         fifo = tmp_path / f"pipe{cpus}"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(src.read_bytes(),), daemon=True)
-        writer.start()
-        writers.append(writer)
+        writers.append(feeding(fifo, src))
         return fifo
 
     models = []
@@ -835,8 +842,7 @@ def test_a_plain_cli_fit_pools_a_pipe_and_writes_the_model_of_the_file(tmp_path)
         assert methods == [["fork"], []], name
         models += [(tmp_path / f"{name}{cpus}.json").read_bytes() for cpus in (2, 1)]
     for writer in writers:
-        writer.join(timeout=60)
-        assert not writer.is_alive()
+        assert writer.wait(timeout=60) == 0
     assert len(set(models)) == 1
 
 
