@@ -209,6 +209,12 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    import os
+    # numpy's BLAS splits a fit's sums over a thread per CPU: pin one before a command
+    # imports numpy, unless the user chose a count or the caller has numpy loaded
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    if "numpy" not in sys.modules and os.environ.keys().isdisjoint(blas):
+        os.environ.update(dict.fromkeys(blas, "1"))
     try:
         top = build_parser()  # one per call: config defaults never reach the next call
         args = top.parse_args(argv)

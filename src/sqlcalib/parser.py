@@ -33,7 +33,7 @@ def parse_sql(text: str) -> QueryTree:
     p = _Parser(lexer.tokenize(text))
     tree = p.parse_query()
     p.accept(SEMI)
-    if p.key() != EOF:
+    if p.keys[p.pos] != EOF:
         tok = p.tokens[p.pos]
         raise ParseError(f"trailing input {tok.text!r}, expected end of statement", tok.offset)
     return tree
@@ -42,7 +42,7 @@ def parse_sql(text: str) -> QueryTree:
 class _Parser:
     def __init__(self, tokens: list[Token]):
         # pos never passes the first EOF and a production looks at most one
-        # token ahead, so a second EOF keeps every look inside the list
+        # token ahead, keys[pos + 1], so a second EOF keeps every look inside the list
         tokens.append(tokens[-1])
         self.tokens = tokens
         self.keys = [text if kind in _SPELT else kind for kind, text, _ in tokens]
@@ -51,9 +51,6 @@ class _Parser:
         self.out: list[str] = []  # the canonical text of each consumed token
 
     # -- cursor helpers -------------------------------------------------
-
-    def key(self, ahead: int = 0) -> str:
-        return self.keys[self.pos + ahead]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -158,10 +155,10 @@ class _Parser:
         while True:
             if self.accept(COMMA):
                 self.parse_table_ref()
-            elif self.key() in _JOIN_STARTERS:
+            elif self.keys[self.pos] in _JOIN_STARTERS:
                 self.parse_join_connector()
                 self.parse_table_ref()
-                if self.key() == "on":
+                if self.keys[self.pos] == "on":
                     tables += out[segment:]
                     self.advance()
                     ons.append(self.text_of(self.parse_expr))
@@ -180,7 +177,7 @@ class _Parser:
             self.expect("join")
 
     def parse_table_ref(self) -> None:
-        if self.key() == LPAREN and self.key(1) == "select":
+        if self.keys[self.pos] == LPAREN and self.keys[self.pos + 1] == "select":
             self.parse_subquery()
         else:
             self.parse_name_chain("table name")
@@ -189,15 +186,17 @@ class _Parser:
     # -- expressions ----------------------------------------------------
 
     def parse_expr(self) -> None:
-        self.parse_not()
+        self.parse_prefixed(("not",), self.parse_predicate)
         while self.accept("and", "or"):
-            self.parse_not()
+            self.parse_prefixed(("not",), self.parse_predicate)
 
-    def parse_not(self) -> None:
-        if self.accept("not"):
-            self.nested(self.parse_not)
+    def parse_prefixed(self, prefixes: tuple[str, ...], parse) -> None:
+        """``parse()`` after a run of ``prefixes``, each a nesting level deeper."""
+        if self.keys[self.pos] in prefixes:
+            self.advance()
+            self.nested(self.parse_prefixed, prefixes, parse)
         else:
-            self.parse_predicate()
+            parse()
 
     def parse_predicate(self) -> None:
         self.parse_arithmetic()
@@ -216,32 +215,17 @@ class _Parser:
             self.expect("and")
             self.parse_arithmetic()
         elif self.accept("in"):
-            self.parse_in_operand()
+            if self.keys[self.pos] != LPAREN:
+                self.fail("( after IN")
+            self.parse_bracketed(self.comma_list, self.parse_expr)
         elif self.accept("like"):
             self.parse_arithmetic()
 
-    def parse_in_operand(self) -> None:
-        if self.key() != LPAREN:
-            self.fail("( after IN")
-        if self.key(1) == "select":
-            self.parse_subquery()
-            return
-        self.advance()
-        self.nested(self.comma_list, self.parse_expr)
-        self.expect(RPAREN)
-
     def parse_arithmetic(self) -> None:
-        self.parse_unary()
+        self.parse_prefixed(("-", "+"), self.parse_primary)
         while self.keys[self.pos] in _ARITHMETIC:
             self.advance()
-            self.parse_unary()
-
-    def parse_unary(self) -> None:
-        if self.keys[self.pos] in ("-", "+"):
-            self.advance()
-            self.nested(self.parse_unary)
-        else:
-            self.parse_primary()
+            self.parse_prefixed(("-", "+"), self.parse_primary)
 
     def parse_primary(self) -> None:
         key = self.keys[self.pos]
@@ -256,12 +240,7 @@ class _Parser:
                 self.fail("( after EXISTS")
             self.parse_subquery()
         elif key == LPAREN:
-            if self.keys[self.pos + 1] == "select":
-                self.parse_subquery()
-                return
-            self.advance()
-            self.nested(self.parse_expr)
-            self.expect(RPAREN)
+            self.parse_bracketed(self.parse_expr)
         elif key == IDENT:
             last = self.parse_name_chain("column name")
             if self.keys[self.pos] == LPAREN and last != "*":
@@ -285,7 +264,7 @@ class _Parser:
     def parse_name_chain(self, what: str) -> str:
         """Consume a dotted name as one output entry; return its last part."""
         last = self.expect(IDENT, what)
-        if self.key() != DOT:
+        if self.keys[self.pos] != DOT:
             return last
         mark = len(self.out) - 1
         while self.accept(DOT):
@@ -295,6 +274,15 @@ class _Parser:
             last = self.expect(IDENT, "name after '.'")
         self.out[mark:] = ["".join(self.out[mark:])]
         return last
+
+    def parse_bracketed(self, parse, *args) -> None:
+        """At a ``(``: a subquery, or ``parse(*args)`` a nesting level deeper, and ``)``."""
+        if self.keys[self.pos + 1] == "select":
+            self.parse_subquery()
+            return
+        self.advance()
+        self.nested(parse, *args)
+        self.expect(RPAREN)
 
     def parse_subquery(self) -> None:
         self.expect(LPAREN)

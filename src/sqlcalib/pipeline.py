@@ -408,6 +408,7 @@ def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
         else:
             ahead = [list(chunk) for chunk in islice(chunks, most)]
             left = len(ahead)
+        chunks = chain(map(ahead.pop, [0] * len(ahead)), chunks)  # each list freed as it is run
         if left >= POOL_MIN_CHUNKS:
             import multiprocessing  # here, so only a run that starts a pool imports them
             from concurrent.futures import ProcessPoolExecutor
@@ -415,14 +416,13 @@ def _in_file_order(path, size: int, task, fixed, stack: ExitStack) -> Iterator:
             pool = stack.enter_context(ProcessPoolExecutor(
                 min(cpus, left), mp_context=multiprocessing.get_context("fork")
             ))
-            listed = chain(ahead, map(list, chunks))
+            listed = map(list, chunks)
             in_flight = deque(pool.submit(rest, chunk) for chunk in islice(listed, 2 * cpus))
             while in_flight:
                 done = in_flight.popleft().result()
                 in_flight.extend(pool.submit(rest, chunk) for chunk in islice(listed, 1))
                 yield done
             return
-        chunks = chain(ahead, chunks)
     yield from map(rest, chunks)
 
 
@@ -832,14 +832,11 @@ SIGNAL_WEIGHTS = (-1.5, 0.35, 3.0)  # intercept, logit-prob slope, informative s
 SIGNAL_FEATURE = "nucleus.agg"
 
 
-def synth_command(n: int, mode: str, seed: int, output_path) -> dict:
-    """Write a synthetic feature file for one of three generation modes.
-
-    Each draws scores s uniform and labels at a rate q: "calibrated" takes
-    q = s; "platt" distorts s through known weights (recorded in a sidecar
-    for recovery tests); "mps-signal" hides the real signal in one
-    frequency-style feature so multivariate fits have an edge.
-    """
+def draw_synth(n: int, mode: str, seed: int) -> tuple[FeatureFile, dict]:
+    """The columns ``load_features`` reads from ``synth_command``'s file, and its
+    sidecar. Scores s are uniform and labels drawn at a rate q: "calibrated" takes
+    q = s; "platt" distorts s through known weights (kept in the sidecar);
+    "mps-signal" hides the signal in one frequency-style feature for MPS fits."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode not in SYNTH_MODES:
@@ -869,10 +866,17 @@ def synth_command(n: int, mode: str, seed: int, output_path) -> dict:
         sidecar.update(
             {"weights": list(SIGNAL_WEIGHTS), "informative_feature": SIGNAL_FEATURE}
         )
-    y = (rng.uniform(size=n) < q).astype(int)  # drawn last: the draw order fixes the bytes
+    y = (rng.uniform(size=n) < q).astype(float)  # drawn last: the draw order fixes the bytes
+    ids = tuple(f"syn{i:06d}" for i in range(n))
+    return FeatureFile(ids, X, y, s, (None,) * n, schema.schema_id, schema.feature_names), sidecar
+
+
+def synth_command(n: int, mode: str, seed: int, output_path) -> dict:
+    """Write ``draw_synth``'s feature file and its sidecar, and return the sidecar."""
+    ff, sidecar = draw_synth(n, mode, seed)
     rows = (  # one row's values at a time, not the whole matrix as lists
-        _feature_row(f"syn{i:06d}", label, None, schema.schema_id, x.tolist(), prob)
-        for i, (x, label, prob) in enumerate(zip(X, y.tolist(), s.tolist()))
+        _feature_row(id_, int(label), None, ff.schema_id, x.tolist(), prob)
+        for id_, x, label, prob in zip(ff.ids, ff.X, ff.y.tolist(), ff.raw_prob.tolist())
     )
     _write_jsonl(output_path, rows)
     _write_json(str(output_path) + ".sidecar.json", sidecar)

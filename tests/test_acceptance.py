@@ -95,15 +95,12 @@ def test_calibrated_data_sanity(tmp_path):
     assert abs(report.brier - 1 / 6) <= 0.01
 
 
-@pytest.mark.slow  # ten 40k-row synth files written and loaded
 @criterion(5, "multivariate fit beats single-signal fit on 9+/10 seeds")
-def test_mps_dominates_ps_with_signal(tmp_path):
+def test_mps_dominates_ps_with_signal():
     mps_wins_brier = 0
     mps_wins_auc = 0
     for seed in range(10):
-        out = tmp_path / f"sig{seed}.jsonl"
-        pipeline.synth_command(40_000, "mps-signal", seed=seed, output_path=out)
-        ff = pipeline.load_features(out)
+        ff, _ = pipeline.draw_synth(40_000, "mps-signal", seed=seed)  # the synth file's columns
         cal, test = slice(0, 20_000), slice(20_000, 40_000)
 
         ps_scores = apply_model(fit_on(ff, cal, slice(0, 1)), ff.X[test, :1])

@@ -10,6 +10,7 @@ multiple of its value matrix.
 
 import hashlib
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqlcalib import pipeline
+from sqlcalib.clausefreq import SYNTH_MODES
 from sqlcalib.errors import SchemaError
+
+from test_workers import feeding
 
 ROW = {"id": "a", "label": 1, "schema_id": "ps", "values": [0.1], "raw_prob": 0.5}
 
@@ -61,6 +65,13 @@ def test_synth_file_loads_to_the_same_columns(tmp_path):
     ff = pipeline.load_features(out)
     assert ff.X.shape == (400, 21) and ff.X.flags.c_contiguous
     assert _columns_digest(ff) == LOADED_SHA256["synth"]
+
+
+@pytest.mark.parametrize("mode", SYNTH_MODES)
+def test_drawn_synth_columns_are_the_written_file_loaded(tmp_path, mode):
+    drawn, _ = pipeline.draw_synth(400, mode, seed=3)
+    pipeline.synth_command(400, mode, seed=3, output_path=tmp_path / "f.jsonl")
+    assert _columns_digest(drawn) == _columns_digest(pipeline.load_features(tmp_path / "f.jsonl"))
 
 
 def test_edge_values_load_to_the_same_columns(tmp_path):
@@ -214,6 +225,19 @@ def test_load_features_allocates_under_four_matrices(signal_file, monkeypatch):
     monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
     assert pipeline.load_features(signal_file).X.nbytes == X_BYTES
     assert _peak_bytes(pipeline.load_features, signal_file) < 4 * X_BYTES
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_features_from_a_pipe_allocates_under_four_matrices(signal_file, tmp_path, monkeypatch):
+    # pooled, as a CLI process of one thread on two CPUs with ten chunks: a
+    # pipe's chunks read ahead must not all live until the read ends
+    monkeypatch.setattr(pipeline, "_one_thread", lambda: True)
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "CHUNK_ROWS", N_ROWS // 10)
+    pipeline.load_features(signal_file)  # the pool's first imports, untraced
+    writer = feeding(tmp_path / "pipe", signal_file)
+    assert _peak_bytes(pipeline.load_features, tmp_path / "pipe") < 4 * X_BYTES
+    assert writer.wait(timeout=60) == 0
 
 
 def test_load_features_allocates_under_four_matrices_on_one_cpu(signal_file, monkeypatch):

@@ -547,20 +547,23 @@ class TestInputValues:
         assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["ok"]
 
     @pytest.mark.parametrize(
-        "nest",
+        "nest, offset",  # offset: the token at which nest(51) is cut
         [
-            lambda n: "SELECT a FROM t WHERE " + "(" * n + "x" + ")" * n,
-            lambda n: "SELECT " + "-" * n + "1 FROM t",
-            lambda n: "SELECT a FROM t WHERE " + "NOT " * n + "x = 1",
-            lambda n: " UNION ".join(["SELECT a FROM t"] * n),
+            (lambda n: "SELECT a FROM t WHERE " + "(" * n + "x" + ")" * n, 73),
+            (lambda n: "SELECT a FROM t WHERE " + "x IN (" * n + "1" + ")" * n, 328),
+            (lambda n: "SELECT " + "-" * n + "1 FROM t", 58),
+            (lambda n: "SELECT " + "+" * n + "1 FROM t", 58),
+            (lambda n: "SELECT a FROM t WHERE " + "NOT " * n + "x = 1", 226),
+            (lambda n: " UNION ".join(["SELECT a FROM t"] * n), 1100),
         ],
-        ids=["parentheses", "unary-minus", "not", "union-chain"],
+        ids=["parentheses", "in-list", "unary-minus", "unary-plus", "not", "union-chain"],
     )
-    def test_deep_nesting_is_a_candidate_parse_failure(self, tmp_path, nest):
-        parse_sql(nest(40))
-        deep = nest(3000)
-        with pytest.raises(ParseError, match="nesting deeper than"):
-            parse_sql(deep)
+    def test_deep_nesting_is_a_candidate_parse_failure(self, tmp_path, nest, offset):
+        parse_sql(nest(50))  # MAX_DEPTH levels parse; one more is cut at the same token
+        for deep in (nest(51), nest(3000)):
+            with pytest.raises(ParseError, match="nesting deeper than 50 levels") as info:
+                parse_sql(deep)
+            assert info.value.offset == offset
         rc, summary, _ = _featurize_summary(tmp_path, [make_record(candidates=[
             {"sql": "select a from t", "sum_log_prob": -0.5, "source": "nucleus"},
             {"sql": deep, "sum_log_prob": -0.1, "source": "nucleus"},

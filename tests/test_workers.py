@@ -814,6 +814,22 @@ def test_a_plain_cli_fit_forks_its_loader_and_writes_the_same_model(tmp_path):
     assert (tmp_path / "m2.json").read_bytes() == (tmp_path / "m1.json").read_bytes()
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs"
+)
+def test_a_plain_cli_fit_writes_the_model_of_one_cpu(tmp_path):
+    # no BLAS variable set: on this file a BLAS thread per CPU changes the
+    # model's last bits, so the CLI must pin one itself
+    src = tmp_path / "features.jsonl"
+    pipeline.synth_command(10_000, "mps-signal", 3, src)
+    cli_in_children(
+        tmp_path,
+        lambda cpus: ["fit", "--input", str(src), "--output", str(tmp_path / f"m{cpus}.json")],
+        env=dict.fromkeys(ONE_BLAS_THREAD), head=PINNED,
+    )
+    assert (tmp_path / "m2.json").read_bytes() == (tmp_path / "m1.json").read_bytes()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs"
